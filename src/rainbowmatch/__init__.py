@@ -66,6 +66,7 @@ from .hunting import (
     enumerate_two_regular_shapes,
     graph_from_cycle_colouring,
     hunt,
+    is_canonical,
 )
 
 __version__ = "0.1.0"

@@ -58,6 +58,12 @@ class ColouredMultigraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0 or self.colour_count < 0:
             raise InvalidInstanceError("vertex and colour counts must be non-negative")
+        if self.colour_count > len(self.edges):
+            # Some colour is on no edge.  Name it without the per-colour table
+            # below, so that a huge count is rejected before any allocation.
+            seen = {e.colour for e in self.edges}
+            missing = next(c for c in range(self.colour_count) if c not in seen)
+            raise InvalidInstanceError(f"colour {missing} appears on no edge")
         seen_colours = [False] * self.colour_count
         for i, e in enumerate(self.edges):
             if not (0 <= e.u < self.vertex_count) or not (0 <= e.v < self.vertex_count):
@@ -208,10 +214,12 @@ def graph_from_json(data: object) -> ColouredMultigraph:
         edges = [(e["u"], e["v"], e["colour"]) for e in raw_edges]
     except (KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"malformed graph JSON: {exc}") from exc
-    if not isinstance(vertices, int) or not isinstance(colours, int):
+    # type() rather than isinstance(): JSON true/false arrive as bool, a
+    # subclass of int, and must not pass as 1/0
+    if type(vertices) is not int or type(colours) is not int:
         raise InvalidInstanceError("graph JSON counts must be integers")
     for u, v, c in edges:
-        if not (isinstance(u, int) and isinstance(v, int) and isinstance(c, int)):
+        if not (type(u) is int and type(v) is int and type(c) is int):
             raise InvalidInstanceError("graph JSON edge fields must be integers")
     return build_graph(vertices, colours, edges)
 

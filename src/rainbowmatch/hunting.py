@@ -7,14 +7,20 @@ matching, and certifies each find with the independent brute-force oracle.
 
 Two instances are considered the same if one maps to the other by rotating or
 reflecting individual cycles, permuting cycles of equal length, or renaming
-colours.  Deduplication uses the lexicographically minimal representative
-under that group; over-enumeration is only ever a performance matter because
-emission is keyed on the canonical form.
+colours.  The representative of an orbit is its lexicographically minimal
+member.  The hunter generates restricted-growth colour strings (which
+quotients out colour renaming) and keeps a string only when
+:func:`is_canonical` accepts it: that test walks the same symmetry search as
+:func:`canonical_colouring` but stops at the first arrangement that beats the
+input, so it never builds the minimum of a non-canonical string.
+Over-enumeration is only ever a performance matter because emission is keyed
+on the canonical form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -37,6 +43,7 @@ __all__ = [
     "enumerate_two_regular_shapes",
     "enumerate_colourings",
     "canonical_colouring",
+    "is_canonical",
     "canonical_label",
     "graph_from_cycle_colouring",
     "hunt",
@@ -147,6 +154,75 @@ def _dihedral_transforms(block: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def _beam_minimum(
+    shape: tuple[int, ...],
+    blocks: tuple[tuple[int, ...], ...],
+    target: Optional[tuple[tuple[int, ...], ...]] = None,
+) -> Optional[tuple[int, ...]]:
+    """Flattened lexicographic minimum of a cycle colouring over its orbit.
+
+    For a fixed geometric arrangement the best colour renaming is the
+    first-occurrence relabelling (colour 0 for the first symbol seen, and so
+    on), so the walk fills cycle slots left to right and keeps every
+    arrangement that still achieves the best prefix: a slot tries each unused
+    cycle of the right length under all its rotations and reflections,
+    relabels greedily, and only the extensions tied with the slot's best
+    segment survive.  Equal-length slots are interchangeable, which is exactly
+    the cycle-permutation part of the group.
+
+    Each candidate is compared with the slot's best segment element by
+    element and dropped at its first larger symbol.  Without ``target`` the
+    best segment of a slot starts out infinite, so the first candidate
+    replaces it.  With ``target`` it starts as the target's own segment, and
+    the walk returns None as soon as some arrangement goes below it: the
+    target is then not the minimum.
+    """
+    if len(blocks) != len(shape) or any(len(b) != n for b, n in zip(blocks, shape)):
+        raise ValueError("colouring does not match shape")
+    # All beam entries share the best prefix, so only the new segment needs
+    # comparing.  mapping is old colour -> new; its next label is its size.
+    beam: list[tuple[frozenset[int], dict[int, int]]] = [(frozenset(), {})]
+    transforms = [_dihedral_transforms(block) for block in blocks]
+    out: list[int] = []
+    for slot, slot_length in enumerate(shape):
+        best = (math.inf,) * slot_length if target is None else target[slot]
+        survivors: dict[tuple, tuple[frozenset[int], dict[int, int]]] = {}
+        for used, mapping in beam:
+            for i, block in enumerate(blocks):
+                if i in used or len(block) != slot_length:
+                    continue
+                for transformed in transforms[i]:
+                    new_map = dict(mapping)
+                    order = 0  # sign of segment - best on the prefix compared so far
+                    for symbol, reference in zip(transformed, best):
+                        value = new_map.get(symbol)
+                        if value is None:
+                            value = new_map[symbol] = len(new_map)
+                        if order:
+                            continue
+                        if value > reference:
+                            order = 1
+                            break
+                        if value < reference:
+                            if target is not None:
+                                return None
+                            order = -1
+                    if order > 0:
+                        continue
+                    if order < 0:
+                        best = tuple(new_map[symbol] for symbol in transformed)
+                        survivors = {}
+                    now_used = used | {i}
+                    survivors[(now_used, tuple(sorted(new_map.items())))] = (now_used, new_map)
+        if not survivors:
+            # every arrangement lies above the target (only possible for
+            # symbols below 0), so the target is not the minimum either
+            return None
+        out.extend(best)
+        beam = list(survivors.values())
+    return tuple(out)
+
+
 def canonical_colouring(
     shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -154,52 +230,20 @@ def canonical_colouring(
 
     Minimises the flattened colour sequence over the full symmetry group:
     per-cycle rotations and reflections, permutations of equal-length cycles,
-    and colour renaming.  For a fixed geometric arrangement the best renaming
-    is the first-occurrence relabelling (colour 0 for the first symbol seen,
-    and so on), so the search walks cycle slots left to right keeping every
-    arrangement that still achieves the minimal prefix: a slot tries each
-    unused cycle of the right length under all its rotations/reflections,
-    relabels greedily, and only the tied-minimal extensions survive to the
-    next slot.  Equal-length slots are interchangeable, which is exactly the
-    cycle-permutation part of the group.
+    and colour renaming.
     """
-    if len(blocks) != len(shape) or any(len(b) != n for b, n in zip(blocks, shape)):
-        raise ValueError("colouring does not match shape")
-    # Beam of partial arrangements; all entries share the minimal prefix, so
-    # only the new segment needs comparing.  mapping is old colour -> new.
-    beam: list[tuple[frozenset[int], dict[int, int], int]] = [(frozenset(), {}, 0)]
-    out: list[int] = []
-    for slot_length in shape:
-        candidates: list[tuple[tuple[int, ...], frozenset[int], dict[int, int], int]] = []
-        for used, mapping, next_label in beam:
-            for i, block in enumerate(blocks):
-                if i in used or len(block) != slot_length:
-                    continue
-                for transformed in _dihedral_transforms(block):
-                    new_map = dict(mapping)
-                    label = next_label
-                    segment = []
-                    for symbol in transformed:
-                        if symbol not in new_map:
-                            new_map[symbol] = label
-                            label += 1
-                        segment.append(new_map[symbol])
-                    candidates.append((tuple(segment), used | {i}, new_map, label))
-        best = min(segment for segment, _, _, _ in candidates)
-        out.extend(best)
-        survivors = {}
-        for segment, used, new_map, label in candidates:
-            if segment == best:
-                key = (used, tuple(sorted(new_map.items())))
-                survivors[key] = (used, new_map, label)
-        beam = list(survivors.values())
-    flat = tuple(out)
-    result = []
-    position = 0
-    for n in shape:
-        result.append(flat[position : position + n])
-        position += n
-    return tuple(result)
+    return _reshape(shape, _beam_minimum(shape, blocks))
+
+
+def is_canonical(shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether ``blocks`` is its own canonical colouring.
+
+    Same answer as ``canonical_colouring(shape, blocks) == blocks``, but the
+    search stops at the first arrangement whose segment beats the input's, so
+    a non-canonical input (the common case in a hunt) usually costs a few
+    symbol comparisons per slot instead of a full minimisation.
+    """
+    return _beam_minimum(shape, blocks, blocks) is not None
 
 
 def canonical_label(shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> str:
@@ -284,8 +328,7 @@ def enumerate_colourings(
             f"infeasible colouring arithmetic: {colours} colours x {class_size} != {total} edges"
         )
     for flat in _count_constrained_strings(total, colours, class_size, minimum=False):
-        blocks = _reshape(shape, flat)
-        if canonical_colouring(shape, blocks) == blocks:
+        if is_canonical(shape, _reshape(shape, flat)):
             yield graph_from_cycle_colouring(shape, flat, colours)
 
 
@@ -340,7 +383,7 @@ def _examine_unit(
     ):
         candidates += 1
         blocks = _reshape(shape, flat)
-        if canonical_colouring(shape, blocks) != blocks:
+        if not is_canonical(shape, blocks):
             continue
         orbits += 1
         label = canonical_label(shape, blocks)

@@ -56,6 +56,12 @@ class TripartiteHypergraph:
             raise InvalidInstanceError("class sizes must be non-negative")
         if not self.tripartite and self.v3_count != 0:
             raise InvalidInstanceError("merged-pool hypergraphs must have v3_count == 0")
+        if self.v1_count > len(self.triples):
+            # Some V1 vertex is in no triple.  Name it without the table below,
+            # so that a huge count is rejected before any allocation.
+            seen = {t[0] for t in self.triples}
+            missing = next(a for a in range(self.v1_count) if a not in seen)
+            raise InvalidInstanceError(f"V1 vertex {missing} occurs in no triple")
         covered = [False] * self.v1_count
         pool = self.v2_count if not self.tripartite else 0
         for i, (a, b, c) in enumerate(self.triples):
@@ -244,10 +250,12 @@ def hypergraph_from_json(data: object) -> TripartiteHypergraph:
         triples = [(a, b, c) for (a, b, c) in data["triples"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed hypergraph JSON: {exc}") from exc
-    if not all(isinstance(n, int) for n in (v1, v2, v3)) or not isinstance(tripartite, bool):
+    # type() rather than isinstance(): JSON true/false arrive as bool, a
+    # subclass of int, and must not pass as 1/0
+    if not all(type(n) is int for n in (v1, v2, v3)) or not isinstance(tripartite, bool):
         raise InvalidInstanceError("hypergraph JSON fields have wrong types")
     for t in triples:
-        if not all(isinstance(n, int) for n in t):
+        if not all(type(n) is int for n in t):
             raise InvalidInstanceError("hypergraph JSON triples must be integers")
     return TripartiteHypergraph(
         v1_count=v1, v2_count=v2, v3_count=v3, triples=tuple(triples), tripartite=tripartite

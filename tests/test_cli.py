@@ -1,5 +1,8 @@
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from rainbowmatch import cli, graph_to_json
 from rainbowmatch.graphs import build_graph
@@ -251,3 +254,69 @@ def test_hunt_jobs_byte_identical(capsys):
     code2, out2, _ = run_cli(capsys, *argv, "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+@pytest.mark.parametrize(
+    "archive, argv",
+    [
+        ("small_blockers.jsonl", ["--bipartite", "--class-size", "2", "--max-edges", "8"]),
+        (
+            "delta_gap_hunt.jsonl",
+            ["--bipartite", "--class-size", "3", "--max-edges", "12", "--require-gap"],
+        ),
+    ],
+)
+def test_hunt_reproduces_archives(capsys, archive, argv):
+    # the commands the README gives for the archives in results/
+    code, out, _ = run_cli(capsys, "hunt", *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (RESULTS / archive).read_bytes()
+
+
+EDGE = {"u": 0, "v": 1, "colour": 0}
+TRIPLE_INSTANCE = {"v1": 1, "v2": 1, "v3": 1, "tripartite": True, "triples": [[0, 0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"vertices": True, "colours": 0, "edges": []},
+        {"vertices": 2, "colours": True, "edges": [EDGE]},
+        {"vertices": 2, "colours": 1, "edges": [dict(EDGE, u=False)]},
+        {"vertices": 2, "colours": 1, "edges": [dict(EDGE, v=True)]},
+        {"vertices": 2, "colours": 1, "edges": [dict(EDGE, colour=False)]},
+        dict(TRIPLE_INSTANCE, v1=True),
+        dict(TRIPLE_INSTANCE, v2=True),
+        dict(TRIPLE_INSTANCE, v3=True),
+        dict(TRIPLE_INSTANCE, triples=[[False, 0, 0]]),
+        dict(TRIPLE_INSTANCE, triples=[[0, False, 0]]),
+        dict(TRIPLE_INSTANCE, triples=[[0, 0, False]]),
+    ],
+)
+def test_solve_rejects_json_booleans(capsys, tmp_path, instance):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("invalid instance:")
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        ({"vertices": 2, "colours": 10**12, "edges": []}, "colour 0 appears on no edge"),
+        (dict(TRIPLE_INSTANCE, v1=10**12), "V1 vertex 1 occurs in no triple"),
+    ],
+)
+def test_solve_rejects_huge_class_count(capsys, tmp_path, instance, message):
+    # every colour (V1 vertex) needs an edge (triple), so the count is
+    # rejected before anything of that size is allocated
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    code, _, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert message in err

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 
@@ -15,6 +16,7 @@ from rainbowmatch import (
     find_full_rainbow_matching,
     graph_from_cycle_colouring,
     hunt,
+    is_canonical,
     max_degree,
 )
 from rainbowmatch.hunting import read_certified_forms, result_record, summary_record
@@ -136,6 +138,99 @@ def test_canonical_form_is_orbit_invariant():
 def test_canonical_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         canonical_colouring((4,), ((0, 0, 0),))
+
+
+def split(shape, flat):
+    blocks = []
+    position = 0
+    for n in shape:
+        blocks.append(tuple(flat[position : position + n]))
+        position += n
+    return tuple(blocks)
+
+
+def restricted_growth_strings(length):
+    """Every string whose symbols first appear in the order 0, 1, 2, ..."""
+    def extend(prefix, used):
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for symbol in range(used + 1):
+            yield from extend(prefix + [symbol], max(used, symbol + 1))
+
+    yield from extend([], 0)
+
+
+def test_is_canonical_matches_full_minimisation():
+    # every restricted-growth string of every shape up to 8 edges, over every
+    # colour count, against the full minimum computed by canonical_colouring
+    checked = accepted = 0
+    for shape in enumerate_two_regular_shapes(8, False):
+        for flat in restricted_growth_strings(sum(shape)):
+            blocks = split(shape, flat)
+            expected = canonical_colouring(shape, blocks) == blocks
+            assert is_canonical(shape, blocks) == expected, (shape, blocks)
+            checked += 1
+            accepted += expected
+    assert checked == 14652
+    assert 0 < accepted < checked
+    with pytest.raises(ValueError):
+        is_canonical((4,), ((0, 0, 0),))
+
+
+def orbits_by_union_find(shape, colours, class_size):
+    """Orbit count of all colour strings with exact class sizes.
+
+    Shares no code with the canonicaliser: every string (restricted growth or
+    not) is a node, and each generator of the symmetry group joins a string
+    with its image.  Generators: rotate one cycle by one step, reflect one
+    cycle, swap two cycles of equal length, swap colours c and c+1.
+    """
+    total = sum(shape)
+    strings = [
+        s
+        for s in itertools.product(range(colours), repeat=total)
+        if all(s.count(c) == class_size for c in range(colours))
+    ]
+    parent = {s: s for s in strings}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    starts = [sum(shape[:i]) for i in range(len(shape))]
+    for s in strings:
+        blocks = [list(s[a : a + n]) for a, n in zip(starts, shape)]
+        images = []
+        for i, block in enumerate(blocks):
+            for moved in (block[1:] + block[:1], block[::-1]):
+                images.append(blocks[:i] + [moved] + blocks[i + 1 :])
+            for j in range(i + 1, len(blocks)):
+                if shape[j] == shape[i]:
+                    swapped = blocks[:]
+                    swapped[i], swapped[j] = blocks[j], blocks[i]
+                    images.append(swapped)
+        image_strings = [tuple(itertools.chain(*b)) for b in images]
+        for c in range(colours - 1):
+            swap = {c: c + 1, c + 1: c}
+            image_strings.append(tuple(swap.get(x, x) for x in s))
+        for image in image_strings:
+            parent[find(image)] = find(s)
+    return len({find(s) for s in strings}), strings
+
+
+@pytest.mark.parametrize(
+    "shape, class_size",
+    [((4, 4), 2), ((4, 4), 4), ((3, 5), 2), ((8,), 2), ((8,), 4), ((3, 3, 3), 3)],
+)
+def test_is_canonical_accepts_one_string_per_orbit(shape, class_size):
+    colours = sum(shape) // class_size
+    orbits, strings = orbits_by_union_find(shape, colours, class_size)
+    # over all strings, not only restricted-growth ones
+    assert sum(is_canonical(shape, split(shape, s)) for s in strings) == orbits
+    assert len(list(enumerate_colourings(shape, colours, class_size))) == orbits
 
 
 def test_canonical_label_format():
