@@ -29,6 +29,7 @@ from .hypergraphs import (
     GraphConversion,
     NotTripartiteError,
     TripartiteHypergraph,
+    as_coloured_graph,
     degree_stats,
     from_coloured_graph,
     has_v1_matching,

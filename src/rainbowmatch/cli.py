@@ -23,7 +23,6 @@ from . import families, hunting, hypergraphs, solver
 from .graphs import (
     InvalidInstanceError,
     bipartition,
-    build_graph,
     colour_stats,
     graph_from_json,
     graph_to_dot,
@@ -72,24 +71,6 @@ def _load_instance(path: Optional[str]):
     return graph_from_json(data)
 
 
-def _as_graph(instance):
-    """View any instance as a coloured multigraph.
-
-    A merged-pool hypergraph is exactly a coloured multigraph on its pool
-    (triple (a, b, c) is the edge {b, c} with colour a), so statistics,
-    reports and the brute-force oracle apply to it unchanged.
-    """
-    if not isinstance(instance, hypergraphs.TripartiteHypergraph):
-        return instance
-    if instance.tripartite:
-        return hypergraphs.to_coloured_graph(instance)
-    return build_graph(
-        instance.v2_count,
-        instance.v1_count,
-        [(b, c, a) for (a, b, c) in instance.triples],
-    )
-
-
 def _brute_limit() -> int:
     raw = os.environ.get("RAINBOW_BRUTE_LIMIT")
     if raw is None:
@@ -135,13 +116,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.input)
+    graph = hypergraphs.as_coloured_graph(_load_instance(args.input))
     if args.method == "brute":
-        outcome, count = solver.brute_force_full_rainbow(_as_graph(instance), _brute_limit())
-    elif isinstance(instance, hypergraphs.TripartiteHypergraph):
-        outcome, count = hypergraphs.solve_v1_matching(instance), None
+        outcome, count = solver.brute_force_full_rainbow(graph, _brute_limit())
     else:
-        outcome, count = solver.find_full_rainbow_matching(instance), None
+        outcome, count = solver.find_full_rainbow_matching(graph), None
     payload = {
         "exists": outcome.matching is not None,
         "witness": sorted(outcome.matching) if outcome.matching is not None else None,
@@ -156,7 +135,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    report = families.conjecture_report(_as_graph(_load_instance(args.input)))
+    graph = hypergraphs.as_coloured_graph(_load_instance(args.input))
+    report = families.conjecture_report(graph)
     if args.pretty:
         _write_output(args.output, _format_report(report))
     else:
@@ -187,7 +167,7 @@ def _format_report(report: families.ConjectureReport) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    instance = _as_graph(_load_instance(args.input))
+    instance = hypergraphs.as_coloured_graph(_load_instance(args.input))
     stats = colour_stats(instance)
     degrees = hypergraphs.degree_stats(hypergraphs.from_coloured_graph(instance).hypergraph)
     payload = {

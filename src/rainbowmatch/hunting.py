@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -455,6 +454,10 @@ def hunt(
             if consume(_examine_unit(payload)):
                 break
     else:
+        # imported here: nothing else needs it, and it costs every process
+        # about 1 MB of memory
+        import multiprocessing
+
         with multiprocessing.Pool(processes=jobs) as pool:
             for unit_output in pool.imap(_examine_unit, payloads):
                 if consume(unit_output):

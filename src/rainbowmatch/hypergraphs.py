@@ -10,7 +10,7 @@ bipartite the hypergraph is tripartite with V2 and V3 the two sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from . import solver
 from .graphs import ColouredMultigraph, InvalidInstanceError, bipartition, build_graph
@@ -23,6 +23,7 @@ __all__ = [
     "DegreeStats",
     "from_coloured_graph",
     "to_coloured_graph",
+    "as_coloured_graph",
     "degree_stats",
     "has_v1_matching",
     "solve_v1_matching",
@@ -182,6 +183,28 @@ def to_coloured_graph(hypergraph: TripartiteHypergraph) -> ColouredMultigraph:
     )
 
 
+def as_coloured_graph(
+    instance: Union[ColouredMultigraph, TripartiteHypergraph],
+) -> ColouredMultigraph:
+    """View any instance as a coloured multigraph, triple i as edge i.
+
+    A graph is returned as it is.  A tripartite hypergraph becomes
+    :func:`to_coloured_graph` of it.  A merged-pool hypergraph is exactly a
+    coloured multigraph on its pool: triple (a, b, c) is the edge {b, c} with
+    colour a.  Solvers, statistics, reports and the brute-force oracle
+    therefore apply to every instance unchanged.
+    """
+    if not isinstance(instance, TripartiteHypergraph):
+        return instance
+    if instance.tripartite:
+        return to_coloured_graph(instance)
+    return build_graph(
+        instance.v2_count,
+        instance.v1_count,
+        [(b, c, a) for (a, b, c) in instance.triples],
+    )
+
+
 def degree_stats(hypergraph: TripartiteHypergraph) -> DegreeStats:
     """Minimum triple-degree over V1, maximum over the remaining vertices.
 
@@ -205,19 +228,10 @@ def degree_stats(hypergraph: TripartiteHypergraph) -> DegreeStats:
 def solve_v1_matching(hypergraph: TripartiteHypergraph) -> solver.SolveOutcome:
     """Full solve outcome for the V1-matching decision (indices are triples).
 
-    Tripartite instances delegate to the graph solver on the reconstructed
-    graph, whose edge indices coincide with triple indices.  Merged-pool
-    instances run the same backtracking directly over the triples.
+    The graph solver runs on :func:`as_coloured_graph` of the hypergraph,
+    whose edge indices coincide with triple indices.
     """
-    if hypergraph.tripartite:
-        return solver.find_full_rainbow_matching(to_coloured_graph(hypergraph))
-    items = [(a, b, c) for (a, b, c) in hypergraph.triples]
-    matching, nodes = solver.search_one_per_class(
-        hypergraph.v2_count, hypergraph.v1_count, items
-    )
-    return solver.SolveOutcome(
-        matching=matching, nodes_explored=nodes, exhaustive=matching is None
-    )
+    return solver.find_full_rainbow_matching(as_coloured_graph(hypergraph))
 
 
 def has_v1_matching(hypergraph: TripartiteHypergraph) -> Optional[frozenset[int]]:

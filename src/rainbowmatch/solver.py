@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .graphs import ColouredMultigraph
 
@@ -52,59 +52,139 @@ class SolveOutcome:
     exhaustive: bool
 
 
-def search_one_per_class(
-    pool_size: int,
-    class_count: int,
-    items: Sequence[tuple[int, int, int]],
-) -> tuple[Optional[frozenset[int]], int]:
-    """Backtracking core shared by the graph and hypergraph solvers.
+def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[int]], int]:
+    """The search engine behind both solvers: depth-first, on an explicit stack.
 
-    ``items`` are ``(class_id, x, y)`` with ``x, y`` drawn from a common pool
-    of ``pool_size`` vertices.  The search must pick exactly one item per
-    class such that no pool vertex is used twice.
+    Depth d assigns the d-th colour in the static fail-first order (class
+    size, colour id); a colour's edges are tried in sequence order.  A state
+    is the set of occupied vertices, as a bitmask over the vertices that
+    carry an edge (relabelled densely, so isolated vertices cost nothing),
+    together with the depth.
 
-    Classes are processed in ascending (size, class id) order, items within a
-    class in sequence order, so identical inputs always produce identical
-    witnesses.  After each placement, any unassigned class whose items are all
-    blocked by occupied vertices prunes the branch.
+    With ``must_pick`` (find mode) every colour takes one free edge, and a
+    child is entered only when every later colour still has a free edge; the
+    result is the first full rainbow matching in search order, or None.
+    Without it (max mode) a colour may also be skipped, which is tried after
+    its edges, and a child is entered only when its chosen count plus the
+    number of later colours that still have a free edge exceeds the best
+    size so far; the result is the first maximum-size set in search order.
+
+    Both rules read one integer per state, the set of free edges.  Each
+    colour owns a run of bits, one per edge, followed by a guard bit that no
+    edge uses.  Adding the set of all edges to the set of free edges turns
+    each run into all ones plus its free edges, which carries into the
+    guard bit exactly when the colour has a free edge and never beyond it,
+    so one addition answers the rule for every colour at once.
+
+    Every state whose subtree is exhausted goes into a set of refuted states,
+    and no state in it is entered again.  In find mode its subtree holds no
+    witness.  In max mode every edge covers two vertices (self-loops are
+    rejected), so the occupied mask fixes the chosen count, and the subtree
+    cannot beat the best size, which has only grown since; the best set is
+    replaced only by a strictly larger one.  Either way the result is the one
+    the search without the set returns.
+
+    Returns the chosen edge indices and the number of nodes entered.
     """
-    by_class: list[list[tuple[int, int, int]]] = [[] for _ in range(class_count)]
-    for index, (class_id, x, y) in enumerate(items):
-        by_class[class_id].append((index, x, y))
-    order = sorted(range(class_count), key=lambda c: (len(by_class[c]), c))
+    colour_count = graph.colour_count
+    edges = graph.edges
+    by_colour: list[list[int]] = [[] for _ in range(colour_count)]
+    for index, e in enumerate(edges):
+        by_colour[e.colour].append(index)
+    order = sorted(range(colour_count), key=lambda c: (len(by_colour[c]), c))
 
-    occupied = bytearray(pool_size)
-    chosen: list[int] = []
-    nodes = 0
+    incident: dict[int, int] = {}  # vertex -> the bits of its edges
+    guards = [0] * (colour_count + 1)  # guard bits of the colours at depths >= d
+    shift = 0
+    for depth, colour in enumerate(order):
+        for index in by_colour[colour]:
+            e, bit = edges[index], 1 << shift
+            incident[e.u] = incident.get(e.u, 0) | bit
+            incident[e.v] = incident.get(e.v, 0) | bit
+            shift += 1
+        guards[depth] = 1 << shift
+        shift += 1
+    for depth in range(colour_count - 1, -1, -1):
+        guards[depth] |= guards[depth + 1]
+    all_edges = ((1 << shift) - 1) ^ guards[0]
 
-    def class_has_free_item(c: int) -> bool:
-        for _, x, y in by_class[c]:
-            if not occupied[x] and not occupied[y]:
-                return True
-        return False
-
-    def descend(depth: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if depth == class_count:
-            return True
-        for index, x, y in by_class[order[depth]]:
-            if occupied[x] or occupied[y]:
-                continue
-            occupied[x] = occupied[y] = 1
-            chosen.append(index)
-            viable = all(
-                class_has_free_item(order[d]) for d in range(depth + 1, class_count)
+    vertex_bit = {x: 1 << i for i, x in enumerate(incident)}
+    # per edge: (index, its vertices, the edges it blocks)
+    layers = [
+        [
+            (
+                index,
+                vertex_bit[edges[index].u] | vertex_bit[edges[index].v],
+                incident[edges[index].u] | incident[edges[index].v],
             )
-            if viable and descend(depth + 1):
-                return True
-            chosen.pop()
-            occupied[x] = occupied[y] = 0
-        return False
+            for index in by_colour[colour]
+        ]
+        for colour in order
+    ]
+    if not must_pick:
+        # skipping a colour is one more child: it occupies and blocks nothing
+        layers = [layer + [(-1, 0, 0)] for layer in layers]
+    # a state (occupied, depth) is packed into the integer occupied | tags[depth]
+    tags = [depth << len(vertex_bit) for depth in range(colour_count + 1)]
 
-    if descend(0):
-        return frozenset(chosen), nodes
-    return None, nodes
+    refuted: set[int] = set()
+    occupied = [0] * (colour_count + 1)
+    free_edges = [all_edges] * (colour_count + 1)
+    sizes = [0] * (colour_count + 1)
+    picked = [0] * colour_count
+    cursor = [0] * (colour_count + 1)
+    best: list[int] = []
+    nodes = 1
+    depth = 0
+    if colour_count == 0:
+        return best, nodes
+    while depth >= 0:
+        occ = occupied[depth]
+        free = free_edges[depth]
+        child_depth = depth + 1
+        tag = tags[child_depth]
+        later = guards[child_depth]
+        layer = layers[depth]
+        for position in range(cursor[depth], len(layer)):
+            index, vertices, blocks = layer[position]
+            if occ & vertices:
+                continue
+            child = occ | vertices
+            if child | tag in refuted:
+                continue
+            child_free = free & ~blocks
+            # guard bits of the later colours that still have a free edge
+            open_later = (child_free + all_edges) & later
+            if must_pick:
+                if open_later != later:
+                    continue
+                nodes += 1
+                if child_depth == colour_count:
+                    picked[depth] = index
+                    return picked, nodes
+                break
+            nodes += 1
+            size = sizes[depth] + (index >= 0)
+            if size > len(best):
+                best = [p for p in picked[:depth] if p >= 0]
+                if index >= 0:
+                    best.append(index)
+                if size == colour_count:
+                    return best, nodes
+            if size + open_later.bit_count() > len(best):
+                sizes[child_depth] = size
+                break
+        else:
+            refuted.add(occ | tags[depth])
+            depth -= 1
+            continue
+        cursor[depth] = position + 1
+        picked[depth] = index
+        occupied[child_depth] = child
+        free_edges[child_depth] = child_free
+        cursor[child_depth] = 0
+        depth = child_depth
+    return (None if must_pick else best), nodes
 
 
 def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
@@ -113,11 +193,12 @@ def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
     Returns a witness (as edge indices) when one exists; otherwise absence is
     certified by exhausting the pruned search tree.  The empty graph has the
     empty matching: with no colours the requirement is vacuous.
+    ``nodes_explored`` counts the search nodes entered; states skipped as
+    already refuted are not nodes.
     """
-    items = [(e.colour, e.u, e.v) for e in graph.edges]
-    matching, nodes = search_one_per_class(graph.vertex_count, graph.colour_count, items)
+    matching, nodes = _search(graph, must_pick=True)
     return SolveOutcome(
-        matching=matching,
+        matching=None if matching is None else frozenset(matching),
         nodes_explored=nodes,
         exhaustive=matching is None,
     )
@@ -133,46 +214,8 @@ def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]
     have a free edge, which can never be exceeded below that node.  The
     witness is deterministic: the first maximum-size set in search order.
     """
-    by_class: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.colour_count)]
-    for index, e in enumerate(graph.edges):
-        by_class[e.colour].append((index, e.u, e.v))
-    order = sorted(range(graph.colour_count), key=lambda c: (len(by_class[c]), c))
-
-    occupied = bytearray(graph.vertex_count)
-    chosen: list[int] = []
-    best_size = 0
-    best: frozenset[int] = frozenset()
-
-    def free_classes_from(depth: int) -> int:
-        count = 0
-        for d in range(depth, graph.colour_count):
-            for _, x, y in by_class[order[d]]:
-                if not occupied[x] and not occupied[y]:
-                    count += 1
-                    break
-        return count
-
-    def descend(depth: int) -> None:
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = frozenset(chosen)
-        if depth == graph.colour_count or best_size == graph.colour_count:
-            return
-        if len(chosen) + free_classes_from(depth) <= best_size:
-            return
-        for index, x, y in by_class[order[depth]]:
-            if occupied[x] or occupied[y]:
-                continue
-            occupied[x] = occupied[y] = 1
-            chosen.append(index)
-            descend(depth + 1)
-            chosen.pop()
-            occupied[x] = occupied[y] = 0
-        descend(depth + 1)
-
-    descend(0)
-    return best_size, best
+    best, _ = _search(graph, must_pick=False)
+    return len(best), frozenset(best)
 
 
 def brute_force_full_rainbow(

@@ -157,3 +157,27 @@ def random_threshold_hypergraph(rng: random.Random) -> TripartiteHypergraph:
     return TripartiteHypergraph(
         v1_count=v1, v2_count=v2, v3_count=v3, triples=tuple(triples), tripartite=True
     )
+
+
+def latin_square_edges(order: int, seed: int) -> list[tuple[int, int, int]]:
+    """Edges of the cyclic Latin square of the given order as a coloured K_{n,n}.
+
+    Row i is vertex i, column j is vertex order + j, and cell (i, j) is an
+    edge of colour (i + j) mod order, in row-major order.  Seed 0 gives that
+    square unchanged; any other seed applies a random isotopy (rows, columns
+    and symbols permuted) and then shuffles the edge order.  A transversal is
+    a full rainbow matching: odd orders have one, even orders have none and
+    their largest rainbow matching has order - 1 edges.
+    """
+    edges = [(i, order + j, (i + j) % order) for i in range(order) for j in range(order)]
+    if seed == 0:
+        return edges
+    rng = random.Random(seed)
+    rows, columns, symbols = (rng.sample(range(order), order) for _ in range(3))
+    edges = [(rows[i], order + columns[j - order], symbols[c]) for i, j, c in edges]
+    rng.shuffle(edges)
+    return edges
+
+
+def latin_square(order: int, seed: int) -> ColouredMultigraph:
+    return build_graph(2 * order, order, latin_square_edges(order, seed))

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +157,34 @@ def test_merged_pool_hypergraph_inputs(capsys, tmp_path):
     assert data["max_degree"] == 2
     assert run_cli(capsys, "check", str(merged))[0] == 3
     assert run_cli(capsys, "convert", str(merged))[0] == 2
+
+
+def test_solve_many_colours(capsys, tmp_path):
+    # 1,200 disjoint edges of distinct colours: one search level per colour
+    n = 1200
+    path = tmp_path / "wide.json"
+    graph = build_graph(2 * n, n, [(2 * i, 2 * i + 1, i) for i in range(n)])
+    path.write_text(json.dumps(graph_to_json(graph)))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["exists"] is True
+    assert data["witness"] == list(range(n))
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a hunt with --jobs > 1 needs it; importing it costs about 1 MB
+    probe = "import sys, rainbowmatch.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_convert_round_trips_are_stable(capsys, tmp_path):

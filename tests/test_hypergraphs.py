@@ -8,6 +8,7 @@ from rainbowmatch import (
     InvalidInstanceError,
     NotTripartiteError,
     TripartiteHypergraph,
+    as_coloured_graph,
     build_graph,
     colour_stats,
     degree_stats,
@@ -16,6 +17,7 @@ from rainbowmatch import (
     from_coloured_graph,
     has_v1_matching,
     hypergraph_family,
+    solve_v1_matching,
     hypergraph_from_json,
     hypergraph_to_json,
     max_degree,
@@ -168,6 +170,26 @@ def test_has_v1_matching_merged_pool():
         build_graph(3, 3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
     )
     assert has_v1_matching(blocked) is None
+
+
+def test_as_coloured_graph_views_every_instance(single_edge, triangle):
+    assert as_coloured_graph(single_edge) is single_edge
+    tripartite, _ = from_coloured_graph(single_edge)
+    assert as_coloured_graph(tripartite) == to_coloured_graph(tripartite)
+    merged, _ = from_coloured_graph(triangle)
+    # triple i is edge i: the pool vertices are the graph's vertices
+    assert as_coloured_graph(merged) == triangle
+
+
+def test_merged_pool_solve_matches_pool_graph():
+    rng = random.Random(915)
+    for _ in range(150):
+        g = random_graph(rng)
+        hypergraph, _ = from_coloured_graph(g)
+        if hypergraph.tripartite:
+            continue
+        outcome = solve_v1_matching(hypergraph)
+        assert outcome == find_full_rainbow_matching(g)
 
 
 def test_hypergraph_solver_agrees_with_graph_solver():

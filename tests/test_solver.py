@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,7 +13,12 @@ from rainbowmatch import (
     max_rainbow_matching,
     verify_matching,
 )
-from conftest import count_full_rainbow, max_rainbow_by_enumeration, random_graph
+from conftest import (
+    count_full_rainbow,
+    latin_square,
+    max_rainbow_by_enumeration,
+    random_graph,
+)
 
 
 def test_empty_graph_has_empty_full_rainbow():
@@ -158,3 +164,56 @@ def test_determinism():
         for g in graphs
     ]
     assert first == second
+
+
+@pytest.mark.parametrize("order", range(2, 7))
+def test_latin_squares_agree_with_oracles(order):
+    # a transversal exists exactly for odd order; otherwise the maximum is n - 1
+    for seed in (0, 1, 2):
+        g = latin_square(order, seed)
+        outcome = find_full_rainbow_matching(g)
+        _, brute_count = brute_force_full_rainbow(g)
+        assert (brute_count > 0) == (order % 2 == 1)
+        assert (outcome.matching is not None) == (brute_count > 0)
+        assert outcome.exhaustive == (outcome.matching is None)
+        if outcome.matching is not None:
+            assert is_full_rainbow(g, outcome.matching)
+        size, witness = max_rainbow_matching(g)
+        assert size == max_rainbow_by_enumeration(g) == (order if order % 2 else order - 1)
+        assert len(witness) == size
+        assert verify_matching(g, witness)
+        assert len({g.edges[i].colour for i in witness}) == size
+
+
+def test_refuted_states_are_not_searched_twice():
+    # the order-8 cyclic square reaches many occupied-vertex sets along
+    # several partial transversals; without the table of refuted states
+    # the search enters 1,273 nodes
+    outcome = find_full_rainbow_matching(latin_square(8, 0))
+    assert outcome.matching is None
+    assert outcome.nodes_explored == 873
+
+
+def test_thousands_of_colours_do_not_exhaust_the_stack():
+    # one search level per colour: a recursive search died here near 1,000
+    n = 1200
+    g = build_graph(2 * n, n, [(2 * i, 2 * i + 1, i) for i in range(n)])
+    outcome = find_full_rainbow_matching(g)
+    assert outcome.matching == frozenset(range(n))
+    assert outcome.nodes_explored == n + 1
+    assert max_rainbow_matching(g) == (n, frozenset(range(n)))
+
+
+def test_isolated_vertices_cost_no_memory():
+    # the engine relabels only the vertices that carry an edge
+    g = build_graph(10**7, 1, [(0, 1, 0)])
+    tracemalloc.start()
+    try:
+        outcome = find_full_rainbow_matching(g)
+        size, witness = max_rainbow_matching(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(outcome.matching) == [0]
+    assert (size, sorted(witness)) == (1, [0])
+    assert peak < 1_000_000
