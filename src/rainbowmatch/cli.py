@@ -169,17 +169,18 @@ def _format_report(report: families.ConjectureReport) -> str:
 def _cmd_stats(args: argparse.Namespace) -> int:
     instance = hypergraphs.as_coloured_graph(_load_instance(args.input))
     stats = colour_stats(instance)
-    degrees = hypergraphs.degree_stats(hypergraphs.from_coloured_graph(instance).hypergraph)
+    degree = max_degree(instance)
+    # the hypergraph's delta(V1) and Delta(V2 u V3), read off the graph
     payload = {
         "vertices": instance.vertex_count,
         "colours": instance.colour_count,
         "edges": instance.edge_count,
-        "max_degree": max_degree(instance),
+        "max_degree": degree,
         "colour_multiplicities": [stats.multiplicities[c] for c in range(instance.colour_count)],
         "min_colour_multiplicity": stats.minimum,
         "bipartite": bipartition(instance) is not None,
-        "delta_v1": degrees.delta_v1,
-        "delta_max_rest": degrees.delta_max_rest,
+        "delta_v1": stats.minimum,
+        "delta_max_rest": degree,
     }
     _write_output(args.output, _dumps(payload))
     return EXIT_OK
@@ -192,7 +193,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         require_bipartite=args.bipartite,
         require_delta_gap=args.require_gap,
         class_size_is_minimum=args.min_class_size,
-        regularity=args.regular,
         stop_after=args.stop_after,
     )
     skip: set[str] = set()
@@ -245,7 +245,6 @@ def _build_parser() -> _Parser:
     stats.set_defaults(func=_cmd_stats)
 
     hunt = commands.add_parser("hunt", help="exhaustively hunt small blocked instances")
-    hunt.add_argument("--regular", type=int, default=2, help="vertex regularity (only 2 supported)")
     hunt.add_argument("--bipartite", action="store_true", help="restrict to even cycles")
     hunt.add_argument("--class-size", type=int, required=True, help="edges per colour")
     hunt.add_argument(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import ColouredMultigraph, bipartition, build_graph, colour_stats, max_degree
-from .hypergraphs import TripartiteHypergraph, degree_stats, from_coloured_graph
+from .hypergraphs import TripartiteHypergraph, from_coloured_graph
 from .solver import find_full_rainbow_matching
 
 __all__ = [
@@ -131,12 +131,12 @@ def conjecture_report(graph: ColouredMultigraph) -> ConjectureReport:
     """
     degree = max_degree(graph)
     min_multiplicity = colour_stats(graph).minimum
-    stats = degree_stats(from_coloured_graph(graph).hypergraph)
     is_bipartite = bipartition(graph) is not None
     exists = find_full_rainbow_matching(graph).matching is not None
 
-    delta_v1 = stats.delta_v1
-    delta_rest = stats.delta_max_rest
+    # In the graph's hypergraph, delta(V1) is the smallest colour multiplicity
+    # and Delta(V2 u V3) the maximum degree.
+    delta_v1, delta_rest = min_multiplicity, degree
     hypotheses = {
         "AB-2.5/Conj2": is_bipartite and delta_v1 > delta_rest,
         "Conj1-bipartite": is_bipartite and min_multiplicity >= degree + 1,

@@ -58,13 +58,7 @@ class ColouredMultigraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0 or self.colour_count < 0:
             raise InvalidInstanceError("vertex and colour counts must be non-negative")
-        if self.colour_count > len(self.edges):
-            # Some colour is on no edge.  Name it without the per-colour table
-            # below, so that a huge count is rejected before any allocation.
-            seen = {e.colour for e in self.edges}
-            missing = next(c for c in range(self.colour_count) if c not in seen)
-            raise InvalidInstanceError(f"colour {missing} appears on no edge")
-        seen_colours = [False] * self.colour_count
+        seen: set[int] = set()
         for i, e in enumerate(self.edges):
             if not (0 <= e.u < self.vertex_count) or not (0 <= e.v < self.vertex_count):
                 raise InvalidInstanceError(
@@ -76,10 +70,11 @@ class ColouredMultigraph:
                 raise InvalidInstanceError(
                     f"edge {i} colour out of range: {e.colour} with {self.colour_count} colours"
                 )
-            seen_colours[e.colour] = True
-        for c, seen in enumerate(seen_colours):
-            if not seen:
-                raise InvalidInstanceError(f"colour {c} appears on no edge")
+            seen.add(e.colour)
+        if len(seen) < self.colour_count:
+            # stops within len(seen) + 1 steps, so a huge count allocates nothing
+            missing = next(c for c in range(self.colour_count) if c not in seen)
+            raise InvalidInstanceError(f"colour {missing} appears on no edge")
 
     @property
     def edge_count(self) -> int:

@@ -30,8 +30,9 @@ from .graphs import (
     build_graph,
     colour_stats,
     graph_to_json,
+    max_degree,
 )
-from .hypergraphs import DegreeStats, degree_stats, from_coloured_graph
+from .hypergraphs import DegreeStats
 from .solver import DEFAULT_BRUTE_LIMIT, brute_force_full_rainbow, find_full_rainbow_matching
 
 __all__ = [
@@ -68,7 +69,6 @@ class SearchSpec:
     require_bipartite: bool = False
     require_delta_gap: bool = False
     class_size_is_minimum: bool = False
-    regularity: int = 2
     stop_after: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -76,8 +76,6 @@ class SearchSpec:
             raise ValueError("max_edges must be at least 1")
         if self.colour_class_size < 1:
             raise ValueError("colour_class_size must be at least 1")
-        if self.regularity != 2:
-            raise ValueError("only 2-regular search is supported")
         if self.stop_after is not None and self.stop_after < 1:
             raise ValueError("stop_after must be at least 1 when given")
 
@@ -262,25 +260,29 @@ def _count_constrained_strings(
     """
     counts = [0] * colours
     current = [0] * total
-
-    def deficit() -> int:
-        return sum(max(0, class_size - k) for k in counts)
+    # edges still missing from classes below class_size, summed over colours
+    short = colours * class_size
 
     def extend(position: int, used: int) -> Iterator[tuple[int, ...]]:
+        nonlocal short
         if position == total:
-            if not minimum or all(k >= class_size for k in counts):
-                yield tuple(current)
+            # the prune below leaves short == 0 here, so every class is full
+            yield tuple(current)
             return
         for colour in range(min(used + 1, colours - 1) + 1):
-            if not minimum and counts[colour] >= class_size:
+            count = counts[colour]
+            if not minimum and count >= class_size:
                 continue
-            counts[colour] += 1
+            filling = count < class_size
+            counts[colour] = count + 1
+            short -= filling
             # prune unless the remaining positions can still cover every
             # class that is short of its required size
-            if deficit() <= total - position - 1:
+            if short <= total - position - 1:
                 current[position] = colour
                 yield from extend(position + 1, max(used, colour))
-            counts[colour] -= 1
+            counts[colour] = count
+            short += filling
 
     yield from extend(0, -1)
 
@@ -390,7 +392,8 @@ def _examine_unit(
             skipped += 1
             continue
         graph = graph_from_cycle_colouring(shape, flat, colours)
-        stats = degree_stats(from_coloured_graph(graph).hypergraph)
+        # delta(V1) and Delta(V2 u V3) of the graph's hypergraph
+        stats = DegreeStats(colour_stats(graph).minimum, max_degree(graph))
         if spec.require_delta_gap and stats.delta_v1 <= stats.delta_max_rest:
             continue
         if find_full_rainbow_matching(graph).matching is not None:

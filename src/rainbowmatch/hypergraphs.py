@@ -57,13 +57,7 @@ class TripartiteHypergraph:
             raise InvalidInstanceError("class sizes must be non-negative")
         if not self.tripartite and self.v3_count != 0:
             raise InvalidInstanceError("merged-pool hypergraphs must have v3_count == 0")
-        if self.v1_count > len(self.triples):
-            # Some V1 vertex is in no triple.  Name it without the table below,
-            # so that a huge count is rejected before any allocation.
-            seen = {t[0] for t in self.triples}
-            missing = next(a for a in range(self.v1_count) if a not in seen)
-            raise InvalidInstanceError(f"V1 vertex {missing} occurs in no triple")
-        covered = [False] * self.v1_count
+        covered: set[int] = set()
         pool = self.v2_count if not self.tripartite else 0
         for i, (a, b, c) in enumerate(self.triples):
             if not (0 <= a < self.v1_count):
@@ -76,10 +70,11 @@ class TripartiteHypergraph:
                     raise InvalidInstanceError(f"triple {i}: pool index out of range")
                 if b == c:
                     raise InvalidInstanceError(f"triple {i}: repeated pool vertex {b}")
-            covered[a] = True
-        for a, seen in enumerate(covered):
-            if not seen:
-                raise InvalidInstanceError(f"V1 vertex {a} occurs in no triple")
+            covered.add(a)
+        if len(covered) < self.v1_count:
+            # stops within len(covered) + 1 steps, so a huge count allocates nothing
+            missing = next(a for a in range(self.v1_count) if a not in covered)
+            raise InvalidInstanceError(f"V1 vertex {missing} occurs in no triple")
 
     @property
     def triple_count(self) -> int:

@@ -240,7 +240,12 @@ def brute_force_full_rainbow(
     if product > limit:
         raise BruteForceLimitError(product, limit)
 
-    masks = [(1 << e.u) | (1 << e.v) for e in graph.edges]
+    # dense bits for the vertices that carry an edge, not their identifiers
+    bit: dict[int, int] = {}
+    masks = [
+        (1 << bit.setdefault(e.u, len(bit))) | (1 << bit.setdefault(e.v, len(bit)))
+        for e in graph.edges
+    ]
     count = 0
     witness: Optional[frozenset[int]] = None
     for combo in itertools.product(*classes):

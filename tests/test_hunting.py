@@ -242,8 +242,6 @@ def test_spec_validation():
         SearchSpec(max_edges=0, colour_class_size=2)
     with pytest.raises(ValueError):
         SearchSpec(max_edges=4, colour_class_size=0)
-    with pytest.raises(ValueError, match="2-regular"):
-        SearchSpec(max_edges=4, colour_class_size=2, regularity=3)
     with pytest.raises(ValueError):
         SearchSpec(max_edges=4, colour_class_size=2, stop_after=0)
 

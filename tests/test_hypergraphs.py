@@ -124,9 +124,13 @@ def test_degree_stats_single_edge(single_edge):
 
 
 def test_degree_stats_match_graph_statistics():
+    # check, stats and the hunter read delta(V1) and Delta(V2 u V3) off the
+    # graph; this pins that identity against the hypergraph-side definition
     rng = random.Random(912)
-    for _ in range(100):
-        g = random_bipartite_graph(rng)
+    graphs = [random_bipartite_graph(rng) for _ in range(100)]
+    graphs += [random_graph(rng) for _ in range(100)]
+    graphs += [build_graph(n, 0, []) for n in (0, 1, 5)]
+    for g in graphs:
         stats = degree_stats(from_coloured_graph(g).hypergraph)
         assert stats.delta_v1 == colour_stats(g).minimum
         assert stats.delta_max_rest == max_degree(g)

@@ -217,3 +217,17 @@ def test_isolated_vertices_cost_no_memory():
     assert sorted(outcome.matching) == [0]
     assert (size, sorted(witness)) == (1, [0])
     assert peak < 1_000_000
+
+
+def test_brute_force_masks_ignore_vertex_ids():
+    # the oracle's masks are as wide as the number of vertices with an edge
+    g = build_graph(10**8, 1, [(0, 10**8 - 1, 0)])
+    tracemalloc.start()
+    try:
+        outcome, count = brute_force_full_rainbow(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert outcome.matching == frozenset({0})
+    assert peak < 1_000_000
