@@ -19,6 +19,7 @@ from .graphs import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
+    is_bipartite,
     is_full_rainbow,
     max_degree,
     verify_matching,

@@ -2,9 +2,10 @@
 
 Exit codes: 0 = success (for solve/check: a matching exists); 3 = solve or
 check completed and certified that no matching exists; 1 = usage or
-operational error; 2 = malformed or invalid instance.  The distinct code for
-a certified negative lets shell pipelines branch on the mathematical outcome
-instead of treating it as a failure.
+operational error; 2 = malformed or invalid instance, or a malformed hunt
+record in a --resume file.  The distinct code for a certified negative lets
+shell pipelines branch on the mathematical outcome instead of treating it as
+a failure.
 
 All output is newline-terminated JSON (or JSON-lines for hunt); human tables
 sit behind --pretty.  The environment variable RAINBOW_BRUTE_LIMIT overrides
@@ -22,11 +23,11 @@ from typing import Optional, Sequence
 from . import families, hunting, hypergraphs, solver
 from .graphs import (
     InvalidInstanceError,
-    bipartition,
     colour_stats,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
+    is_bipartite,
     max_degree,
 )
 
@@ -178,7 +179,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "max_degree": degree,
         "colour_multiplicities": [stats.multiplicities[c] for c in range(instance.colour_count)],
         "min_colour_multiplicity": stats.minimum,
-        "bipartite": bipartition(instance) is not None,
+        "bipartite": is_bipartite(instance),
         "delta_v1": stats.minimum,
         "delta_max_rest": degree,
     }
@@ -283,6 +284,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     except json.JSONDecodeError as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except hunting.MalformedRecordError as exc:
+        print(f"malformed record: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except solver.BruteForceLimitError as exc:
         print(f"{exc} (set RAINBOW_BRUTE_LIMIT to raise it)", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColouredMultigraph, bipartition, build_graph, colour_stats, max_degree
+from .graphs import ColouredMultigraph, build_graph, colour_stats, is_bipartite, max_degree
 from .hypergraphs import TripartiteHypergraph, from_coloured_graph
 from .solver import find_full_rainbow_matching
 
@@ -131,18 +131,18 @@ def conjecture_report(graph: ColouredMultigraph) -> ConjectureReport:
     """
     degree = max_degree(graph)
     min_multiplicity = colour_stats(graph).minimum
-    is_bipartite = bipartition(graph) is not None
+    bipartite = is_bipartite(graph)
     exists = find_full_rainbow_matching(graph).matching is not None
 
     # In the graph's hypergraph, delta(V1) is the smallest colour multiplicity
     # and Delta(V2 u V3) the maximum degree.
     delta_v1, delta_rest = min_multiplicity, degree
     hypotheses = {
-        "AB-2.5/Conj2": is_bipartite and delta_v1 > delta_rest,
-        "Conj1-bipartite": is_bipartite and min_multiplicity >= degree + 1,
-        "ABCHS-6.1": is_bipartite and delta_v1 >= 2 + delta_rest,
+        "AB-2.5/Conj2": bipartite and delta_v1 > delta_rest,
+        "Conj1-bipartite": bipartite and min_multiplicity >= degree + 1,
+        "ABCHS-6.1": bipartite and delta_v1 >= 2 + delta_rest,
         "ABCHS-5.4/6.2": min_multiplicity >= degree + 2,
-        "AB-Thm-2.6": is_bipartite and delta_v1 >= 2 * delta_rest,
+        "AB-Thm-2.6": bipartite and delta_v1 >= 2 * delta_rest,
     }
     statements = {
         key: StatementOutcome(hypothesis_holds=hypotheses[key], conclusion_holds=exists)
@@ -160,7 +160,7 @@ def conjecture_report(graph: ColouredMultigraph) -> ConjectureReport:
         min_colour_multiplicity=min_multiplicity,
         delta_v1=delta_v1,
         delta_max_rest=delta_rest,
-        bipartite=is_bipartite,
+        bipartite=bipartite,
         full_rainbow_exists=exists,
         statements=statements,
         notes=dict(NOTES),

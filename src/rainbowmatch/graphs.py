@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -15,6 +15,7 @@ __all__ = [
     "max_degree",
     "colour_stats",
     "bipartition",
+    "is_bipartite",
     "verify_matching",
     "is_full_rainbow",
     "graph_to_json",
@@ -98,14 +99,11 @@ def max_degree(graph: ColouredMultigraph) -> int:
     """Maximum number of incident edges over all vertices.
 
     Parallel edges count with multiplicity; an edgeless graph has degree 0.
+    Only edge endpoints are counted, so the cost does not grow with
+    ``vertex_count``.
     """
-    if graph.vertex_count == 0:
-        return 0
-    degree = [0] * graph.vertex_count
-    for e in graph.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
-    return max(degree)
+    degree = Counter(v for e in graph.edges for v in (e.u, e.v))
+    return max(degree.values(), default=0)
 
 
 class ColourStats(NamedTuple):
@@ -126,6 +124,40 @@ def colour_stats(graph: ColouredMultigraph) -> ColourStats:
     return ColourStats(multiplicities, minimum)
 
 
+def _sides(graph: ColouredMultigraph) -> Optional[dict[int, int]]:
+    """Side 0 or 1 of every vertex that carries an edge, or None if some
+    component has an odd cycle.
+
+    Components are searched from their smallest vertex, which goes on side
+    0.  Isolated vertices are left out, so the cost does not grow with
+    ``vertex_count``.
+    """
+    adjacency: dict[int, list[int]] = {}
+    for e in graph.edges:
+        adjacency.setdefault(e.u, []).append(e.v)
+        adjacency.setdefault(e.v, []).append(e.u)
+    side: dict[int, int] = {}
+    for start in sorted(adjacency):
+        if start in side:
+            continue
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in adjacency[x]:
+                if y not in side:
+                    side[y] = 1 - side[x]
+                    queue.append(y)
+                elif side[y] == side[x]:
+                    return None
+    return side
+
+
+def is_bipartite(graph: ColouredMultigraph) -> bool:
+    """Whether no component has an odd cycle; isolated vertices cost nothing."""
+    return _sides(graph) is not None
+
+
 def bipartition(graph: ColouredMultigraph) -> Optional[tuple[set[int], set[int]]]:
     """Two-colour the graph, or return None if some component has an odd cycle.
 
@@ -133,26 +165,11 @@ def bipartition(graph: ColouredMultigraph) -> Optional[tuple[set[int], set[int]]
     side, which makes the partition deterministic.  Isolated vertices are
     their own components and land on the left.
     """
-    adjacency: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for e in graph.edges:
-        adjacency[e.u].append(e.v)
-        adjacency[e.v].append(e.u)
-    side = [-1] * graph.vertex_count
-    for start in range(graph.vertex_count):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x]:
-                if side[y] == -1:
-                    side[y] = 1 - side[x]
-                    queue.append(y)
-                elif side[y] == side[x]:
-                    return None
-    left = {v for v in range(graph.vertex_count) if side[v] == 0}
-    right = {v for v in range(graph.vertex_count) if side[v] == 1}
+    side = _sides(graph)
+    if side is None:
+        return None
+    left = {v for v in range(graph.vertex_count) if side.get(v, 0) == 0}
+    right = {v for v, s in side.items() if s == 1}
     return left, right
 
 

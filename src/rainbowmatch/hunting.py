@@ -9,12 +9,14 @@ Two instances are considered the same if one maps to the other by rotating or
 reflecting individual cycles, permuting cycles of equal length, or renaming
 colours.  The representative of an orbit is its lexicographically minimal
 member.  The hunter generates restricted-growth colour strings (which
-quotients out colour renaming) and keeps a string only when
-:func:`is_canonical` accepts it: that test walks the same symmetry search as
-:func:`canonical_colouring` but stops at the first arrangement that beats the
-input, so it never builds the minimum of a non-canonical string.
-Over-enumeration is only ever a performance matter because emission is keyed
-on the canonical form.
+quotients out colour renaming) by orderly generation: canonicity is tested on
+prefixes while generating, and a prefix that can no longer begin a canonical
+string is cut with all its completions (Read, "Every one a winner", 1978;
+McKay, "Isomorph-free exhaustive generation", 1998).  A complete string is
+kept only when :func:`is_canonical` accepts it: that test walks the same
+symmetry search as :func:`canonical_colouring` but stops at the first
+arrangement that beats the input.  ``candidates_examined`` counts every
+string in the space, whether it was tested whole or cut with its prefix.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import Iterator, Optional
 
 from .graphs import (
     ColouredMultigraph,
-    bipartition,
     build_graph,
     colour_stats,
     graph_to_json,
+    is_bipartite,
     max_degree,
 )
 from .hypergraphs import DegreeStats
@@ -50,6 +52,7 @@ __all__ = [
     "result_record",
     "summary_record",
     "read_certified_forms",
+    "MalformedRecordError",
 ]
 
 
@@ -249,42 +252,139 @@ def canonical_label(shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...])
     return f"{lengths}:{cycles}"
 
 
-def _count_constrained_strings(
-    total: int, colours: int, class_size: int, minimum: bool
+def _orderly_strings(
+    shape: tuple[int, ...],
+    colours: int,
+    class_size: int,
+    minimum: bool,
+    examined: Optional[list[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Colour strings with per-class count constraints, lexicographically.
+    """Canonical colour strings of one (shape, colour count) unit, lexicographically.
 
-    Only restricted-growth strings are produced (each colour first appears
-    after all smaller colours have), which quotients out colour renaming for
-    free; geometric symmetry is handled by the canonical check afterwards.
+    The space is the restricted-growth strings (each colour first appears
+    after all smaller colours have, which quotients out colour renaming)
+    with every class of exactly ``class_size`` edges, or at least that many
+    with ``minimum``.  This is orderly generation: a prefix is extended only
+    while it can still begin a canonical string.  It is rejected when
+
+    (a) it has just completed a cycle other than the first and the last,
+        and its complete cycles are not canonical as a colouring of their
+        own, shorter shape; or when
+    (b) some rotation or reflection of the cycle its last slot lies in,
+        starting inside the cycle's known part and read as far as that part
+        goes (round the whole cycle once it is complete), and relabelled by
+        first occurrence after the colours of the earlier cycles, is below
+        the known part on their overlap.
+
+    Either case exhibits a smaller member of the orbit of every completion,
+    so no canonical string is cut.  Every complete string is still tested by
+    :func:`is_canonical`.  When ``examined`` is given, ``examined[0]`` grows
+    by the size of the space: one per tested string and, for each rejected
+    prefix, its number of completions.
     """
+    total = sum(shape)
     counts = [0] * colours
     current = [0] * total
-    # edges still missing from classes below class_size, summed over colours
-    short = colours * class_size
+    # per position: the index of its cycle and where that cycle starts
+    cycle_of: list[int] = []
+    start_of: list[int] = []
+    for k, length in enumerate(shape):
+        start_of.extend([len(cycle_of)] * length)
+        cycle_of.extend([k] * length)
+    # colours used before each cycle, recorded when its first slot is filled
+    base = [0] * len(shape)
+    # completions of a prefix, keyed by (length, largest colour, sorted
+    # counts of the used colours): the rest of the walk sees nothing else
+    memo: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
-    def extend(position: int, used: int) -> Iterator[tuple[int, ...]]:
-        nonlocal short
-        if position == total:
-            # the prune below leaves short == 0 here, so every class is full
-            yield tuple(current)
-            return
+    def children(position: int, used: int, short: int) -> Iterator[tuple[int, int]]:
+        # (colour, whether it fills a class still short of class_size) for
+        # each colour that may go at position; short counts the edges still
+        # missing from such classes, and a colour is pruned unless the
+        # remaining positions can still cover them
         for colour in range(min(used + 1, colours - 1) + 1):
             count = counts[colour]
             if not minimum and count >= class_size:
                 continue
             filling = count < class_size
-            counts[colour] = count + 1
-            short -= filling
-            # prune unless the remaining positions can still cover every
-            # class that is short of its required size
-            if short <= total - position - 1:
-                current[position] = colour
-                yield from extend(position + 1, max(used, colour))
-            counts[colour] = count
-            short += filling
+            if short - filling <= total - position - 1:
+                yield colour, filling
 
-    yield from extend(0, -1)
+    def completions(position: int, used: int, short: int) -> int:
+        if position == total:
+            return 1
+        key = (position, used, tuple(sorted(counts[: used + 1])))
+        found = memo.get(key)
+        if found is None:
+            found = 0
+            for colour, filling in children(position, used, short):
+                counts[colour] += 1
+                found += completions(position + 1, max(used, colour), short - filling)
+                counts[colour] -= 1
+            memo[key] = found
+        return found
+
+    def rejected(length: int) -> bool:
+        # the prefix current[:length], whose last slot was just filled
+        cycle = cycle_of[length - 1]
+        known = current[start_of[length - 1] : length]
+        complete = len(known) == shape[cycle]
+        # case (b) first, as it is the cheaper test
+        if complete:
+            # every rotation and reflection of the cycle, read round it
+            transforms = [known[i:] + known[:i] for i in range(1, len(known))]
+            transforms += [known[i::-1] + known[:i:-1] for i in range(len(known))]
+        else:
+            # the reflections starting before the new slot were tried on
+            # shorter prefixes, and their known parts have not grown since
+            transforms = [known[i:] for i in range(1, len(known))]
+            transforms.append(known[::-1])
+        # colours of the earlier cycles keep their names, and the others
+        # are renamed from fresh upwards in order of first occurrence
+        fresh = base[cycle]
+        for transformed in transforms:
+            relabel: dict[int, int] = {}
+            for symbol, reference in zip(transformed, known):
+                if symbol >= fresh:
+                    value = relabel.get(symbol)
+                    if value is None:
+                        value = relabel[symbol] = fresh + len(relabel)
+                    symbol = value
+                if symbol != reference:
+                    if symbol < reference:
+                        return True
+                    break
+        if not complete or cycle == 0 or length == total:
+            # a lone first cycle is settled by its own rotations and
+            # reflections, and a complete string goes to is_canonical
+            return False
+        # case (a)
+        head = shape[: cycle + 1]
+        blocks = _reshape(head, tuple(current[:length]))
+        return _beam_minimum(head, blocks, blocks) is None
+
+    def extend(position: int, used: int, short: int) -> Iterator[tuple[int, ...]]:
+        if position == total:
+            # the prune in children leaves short == 0 here: every class is full
+            if examined is not None:
+                examined[0] += 1
+            flat = tuple(current)
+            if is_canonical(shape, _reshape(shape, flat)):
+                yield flat
+            return
+        if start_of[position] == position:
+            base[cycle_of[position]] = used + 1
+        for colour, filling in children(position, used, short):
+            counts[colour] += 1
+            current[position] = colour
+            now_used = max(used, colour)
+            if not rejected(position + 1):
+                yield from extend(position + 1, now_used, short - filling)
+            elif examined is not None:
+                examined[0] += completions(position + 1, now_used, short - filling)
+            counts[colour] -= 1
+
+    yield from extend(0, -1, colours * class_size)
 
 
 def _reshape(shape: tuple[int, ...], flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -328,9 +428,8 @@ def enumerate_colourings(
         raise ValueError(
             f"infeasible colouring arithmetic: {colours} colours x {class_size} != {total} edges"
         )
-    for flat in _count_constrained_strings(total, colours, class_size, minimum=False):
-        if is_canonical(shape, _reshape(shape, flat)):
-            yield graph_from_cycle_colouring(shape, flat, colours)
+    for flat in _orderly_strings(shape, colours, class_size, minimum=False):
+        yield graph_from_cycle_colouring(shape, flat, colours)
 
 
 # --- the hunt itself ---------------------------------------------------------
@@ -361,7 +460,7 @@ def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph) -> None:
         degree[e.v] += 1
     if any(d != 2 for d in degree):
         raise RuntimeError("emitted instance is not 2-regular")
-    if spec.require_bipartite and bipartition(graph) is None:
+    if spec.require_bipartite and not is_bipartite(graph):
         raise RuntimeError("emitted instance is not bipartite")
     stats = colour_stats(graph)
     sizes = stats.multiplicities.values()
@@ -378,14 +477,12 @@ def _examine_unit(
 ) -> tuple[list[SearchResult], int, int, int]:
     spec, shape, colours, skip_forms, brute_limit = args
     results: list[SearchResult] = []
-    candidates = orbits = skipped = 0
-    for flat in _count_constrained_strings(
-        sum(shape), colours, spec.colour_class_size, spec.class_size_is_minimum
+    orbits = skipped = 0
+    examined = [0]
+    for flat in _orderly_strings(
+        shape, colours, spec.colour_class_size, spec.class_size_is_minimum, examined
     ):
-        candidates += 1
         blocks = _reshape(shape, flat)
-        if not is_canonical(shape, blocks):
-            continue
         orbits += 1
         label = canonical_label(shape, blocks)
         if label in skip_forms:
@@ -417,7 +514,7 @@ def _examine_unit(
                 canonical_form=label,
             )
         )
-    return results, candidates, orbits, skipped
+    return results, examined[0], orbits, skipped
 
 
 def hunt(
@@ -512,14 +609,33 @@ def summary_record(outcome: HuntOutcome, spec: SearchSpec) -> dict:
     }
 
 
+class MalformedRecordError(ValueError):
+    """A hunt record stream has a line that is not a record of the hunt's form."""
+
+
 def read_certified_forms(lines: Iterator[str]) -> set[str]:
-    """Canonical forms of already-certified results in a JSON-lines stream."""
+    """Canonical forms of already-certified results in a JSON-lines stream.
+
+    Raises :class:`MalformedRecordError`, naming the line, for a line that is
+    not a JSON object and for a result record whose ``canonical`` is missing
+    or not a string.
+    """
     forms = set()
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecordError(f"line {number} is not JSON: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise MalformedRecordError(f"line {number} is not a JSON object")
         if record.get("type") == "result":
-            forms.add(record["canonical"])
+            form = record.get("canonical")
+            if not isinstance(form, str):
+                raise MalformedRecordError(
+                    f"line {number} is a result record without a string \"canonical\""
+                )
+            forms.add(form)
     return forms

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,54 @@ def test_hunt_resume(capsys, tmp_path):
     lines = [json.loads(line) for line in out.splitlines()]
     assert [r["type"] for r in lines] == ["summary"]
     assert lines[0]["skipped_known"] == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("not json", "line 2 is not JSON: Expecting value"),
+        ("[1]", "line 2 is not a JSON object"),
+        ("7", "line 2 is not a JSON object"),
+        ('{"type": "result"}', 'line 2 is a result record without a string "canonical"'),
+        ('{"type": "result", "canonical": 7}', 'line 2 is a result record without a string "canonical"'),
+        ('{"type": "result", "canonical": ["4:0,1,0,1"]}', 'line 2 is a result record without a string "canonical"'),
+    ],
+)
+def test_hunt_resume_rejects_malformed_records(capsys, tmp_path, line, message):
+    resume = tmp_path / "resume.jsonl"
+    resume.write_text('{"type": "summary"}\n' + line + "\n")
+    code, out, err = run_cli(
+        capsys, "hunt", "--class-size", "2", "--max-edges", "4", "--resume", str(resume)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"malformed record: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "check"])
+def test_huge_vertex_count_allocates_nothing_per_vertex(capsys, tmp_path, command):
+    path = tmp_path / "instance.json"
+    path.write_text(
+        json.dumps({"vertices": 10**12, "colours": 1, "edges": [{"u": 0, "v": 10**12 - 1, "colour": 0}]})
+    )
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, command, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 * 2**20
+    data = json.loads(out)
+    stats = data if command == "stats" else data["stats"]
+    assert stats["max_degree"] == 1
+    assert stats["bipartite"] is True
+    assert stats["delta_v1"] == stats["delta_max_rest"] == 1
+    if command == "stats":
+        assert data["vertices"] == 10**12
+        assert data["colour_multiplicities"] == [1]
+    else:
+        assert data["full_rainbow_exists"] is True
 
 
 def test_hunt_jobs_byte_identical(capsys):

@@ -19,6 +19,7 @@ from rainbowmatch import (
     is_canonical,
     max_degree,
 )
+from rainbowmatch import hunting
 from rainbowmatch.hunting import read_certified_forms, result_record, summary_record
 
 
@@ -231,6 +232,66 @@ def test_is_canonical_accepts_one_string_per_orbit(shape, class_size):
     # over all strings, not only restricted-growth ones
     assert sum(is_canonical(shape, split(shape, s)) for s in strings) == orbits
     assert len(list(enumerate_colourings(shape, colours, class_size))) == orbits
+
+
+# (class_size_is_minimum, class sizes, max edges).  Every unit up to 10 edges
+# in exact mode; in minimum mode the small class sizes stop earlier, because
+# their spaces grow towards every restricted-growth string (115,975 at 10
+# edges, times each shape) and the reference tests each one.
+ORDERLY_SPACES = [
+    (False, range(1, 11), 10),
+    (True, [1], 8),
+    (True, [2], 9),
+    (True, range(3, 11), 10),
+]
+
+
+def test_orderly_generation_cuts_no_canonical_string(monkeypatch):
+    # the reference shares no code with the generator: the strings of each
+    # length and colour count, with their class sizes
+    references = {}
+    for length in range(3, 11):
+        for s in restricted_growth_strings(length):
+            sizes = [s.count(c) for c in range(max(s) + 1)]
+            references.setdefault((length, len(sizes)), []).append((s, sizes))
+    units = {
+        (shape, colours, class_size, minimum)
+        for minimum, class_sizes, max_edges in ORDERLY_SPACES
+        for class_size in class_sizes
+        for bipartite in (False, True)
+        for shape, colours in hunting._work_units(
+            SearchSpec(
+                max_edges=max_edges,
+                colour_class_size=class_size,
+                require_bipartite=bipartite,
+                class_size_is_minimum=minimum,
+            )
+        )
+    }
+    assert len(units) == 322
+    tested_at_leaf = []
+
+    def counting_is_canonical(shape, blocks):
+        tested_at_leaf.append(blocks)
+        return is_canonical(shape, blocks)
+
+    monkeypatch.setattr(hunting, "is_canonical", counting_is_canonical)
+    for shape, colours, class_size, minimum in sorted(units):
+        space = [
+            s
+            for s, sizes in references[sum(shape), colours]
+            if min(sizes) >= class_size and (minimum or max(sizes) == class_size)
+        ]
+        expected = [s for s in space if is_canonical(shape, split(shape, s))]
+        examined = [0]
+        generated = list(
+            hunting._orderly_strings(shape, colours, class_size, minimum, examined)
+        )
+        assert generated == expected, (shape, colours, class_size, minimum)
+        assert examined[0] == len(space), (shape, colours, class_size, minimum)
+    # and the rejection does its work: of the 56,037 strings in these spaces,
+    # at most this many reach is_canonical (a weaker rejection lets more in)
+    assert len(tested_at_leaf) <= 4162
 
 
 def test_canonical_label_format():
