@@ -53,6 +53,7 @@ from .families import (
     StatementOutcome,
     conjecture_report,
     constant_defeater,
+    cyclic_latin_square,
     double_star_family,
     hypergraph_family,
     report_to_json,

@@ -84,15 +84,20 @@ def _brute_limit() -> int:
 
 # --- subcommands --------------------------------------------------------------
 
+# family name -> (the option holding its size, its generator)
+_FAMILIES = {
+    "double-star": ("m", families.double_star_family),
+    "constant-defeater": ("c", families.constant_defeater),
+    "cyclic-latin": ("n", families.cyclic_latin_square),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "double-star":
-        if args.m is None:
-            raise ValueError("gen --family double-star requires --m")
-        graph = families.double_star_family(args.m)
-    else:
-        if args.c is None:
-            raise ValueError("gen --family constant-defeater requires --c")
-        graph = families.constant_defeater(args.c)
+    option, generate = _FAMILIES[args.family]
+    size = getattr(args, option)
+    if size is None:
+        raise ValueError(f"gen --family {args.family} requires --{option}")
+    graph = generate(size)
     if args.format == "dot":
         _write_output(args.output, graph_to_dot(graph))
     else:
@@ -219,9 +224,10 @@ def _build_parser() -> _Parser:
         sub.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
 
     gen = commands.add_parser("gen", parents=[], help="generate a family instance")
-    gen.add_argument("--family", choices=["double-star", "constant-defeater"], required=True)
+    gen.add_argument("--family", choices=list(_FAMILIES), required=True)
     gen.add_argument("--m", type=int, help="component count for double-star (even, >= 2)")
     gen.add_argument("--c", type=int, help="multiplicity margin for constant-defeater (>= 1)")
+    gen.add_argument("--n", type=int, help="order of the cyclic-latin square (>= 1)")
     gen.add_argument("--format", choices=["json", "dot"], default="json")
     add_io(gen, with_input=False)
     gen.set_defaults(func=_cmd_gen)

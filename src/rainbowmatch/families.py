@@ -24,6 +24,7 @@ __all__ = [
     "double_star_family",
     "hypergraph_family",
     "constant_defeater",
+    "cyclic_latin_square",
     "conjecture_report",
     "report_to_json",
 ]
@@ -119,6 +120,21 @@ def constant_defeater(c: int) -> ColouredMultigraph:
     if c < 1:
         raise ValueError(f"c must be a positive integer, got {c}")
     return double_star_family(2 * c + 2)
+
+
+def cyclic_latin_square(n: int) -> ColouredMultigraph:
+    """The cyclic Latin square of order n as a coloured K_{n,n}, for n >= 1.
+
+    Row i is vertex i and column j is vertex n + j; cell (i, j) is the edge
+    (i, n + j) with colour (i + j) mod n, in row-major order.  A full rainbow
+    matching is a transversal.  For odd n the diagonal is one; for even n
+    there is none (Euler), so the solver's answer is a certified negative
+    whose search tree grows steeply with n.
+    """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    edges = [(i, n + j, (i + j) % n) for i in range(n) for j in range(n)]
+    return build_graph(2 * n, n, edges)
 
 
 def conjecture_report(graph: ColouredMultigraph) -> ConjectureReport:

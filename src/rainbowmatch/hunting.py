@@ -558,7 +558,8 @@ def hunt(
         # about 1 MB of memory
         import multiprocessing
 
-        with multiprocessing.Pool(processes=jobs) as pool:
+        # a worker beyond one per unit would have nothing to do
+        with multiprocessing.Pool(processes=min(jobs, len(payloads))) as pool:
             for unit_output in pool.imap(_examine_unit, payloads):
                 if consume(unit_output):
                     break

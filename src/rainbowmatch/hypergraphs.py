@@ -9,6 +9,7 @@ bipartite the hypergraph is tripartite with V2 and V3 the two sides.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -203,20 +204,21 @@ def as_coloured_graph(
 def degree_stats(hypergraph: TripartiteHypergraph) -> DegreeStats:
     """Minimum triple-degree over V1, maximum over the remaining vertices.
 
-    Degenerate empty classes report 0.
+    Degenerate empty classes report 0.  Outside V1 only the vertices that a
+    triple touches are counted, so the cost does not grow with ``v2_count``
+    or ``v3_count``.
     """
+    # every V1 vertex is in some triple, so this is no longer than the triples
     v1_degree = [0] * hypergraph.v1_count
-    rest_degree = [0] * (hypergraph.v2_count + hypergraph.v3_count)
+    offset = hypergraph.v2_count if hypergraph.tripartite else 0
+    rest_degree: Counter[int] = Counter()
     for a, b, c in hypergraph.triples:
         v1_degree[a] += 1
         rest_degree[b] += 1
-        if hypergraph.tripartite:
-            rest_degree[hypergraph.v2_count + c] += 1
-        else:
-            rest_degree[c] += 1
+        rest_degree[offset + c] += 1
     return DegreeStats(
         delta_v1=min(v1_degree) if v1_degree else 0,
-        delta_max_rest=max(rest_degree) if rest_degree else 0,
+        delta_max_rest=max(rest_degree.values(), default=0),
     )
 
 

@@ -76,6 +76,16 @@ def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[i
     guard bit exactly when the colour has a free edge and never beyond it,
     so one addition answers the rule for every colour at once.
 
+    The same integer gives each depth its candidates.  An edge's bit is free
+    exactly when neither of its vertices is occupied, so shifting the set of
+    free edges down to the start of the colour's run and masking it to the
+    run's width leaves exactly the edges that can be taken; bit i stands for
+    the colour's i-th edge.  In max mode the skip is the bit above the run,
+    which is otherwise the guard and never free, so it is always pending
+    and, as the highest bit, tried last.  Each depth keeps its untried
+    children as such a mask and takes the lowest set bit next, so occupied
+    edges are never visited.
+
     Every state whose subtree is exhausted goes into a set of refuted states,
     and no state in it is entered again.  In find mode its subtree holds no
     witness.  In max mode every edge covers two vertices (self-loops are
@@ -95,13 +105,21 @@ def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[i
 
     incident: dict[int, int] = {}  # vertex -> the bits of its edges
     guards = [0] * (colour_count + 1)  # guard bits of the colours at depths >= d
+    starts = [0] * (colour_count + 1)  # first bit of the run of the colour at depth d
+    widths = [0] * (colour_count + 1)  # one bit per edge of that colour
+    skips = [0] * (colour_count + 1)  # in max mode, the bit above the run
     shift = 0
     for depth, colour in enumerate(order):
+        starts[depth] = shift
         for index in by_colour[colour]:
             e, bit = edges[index], 1 << shift
             incident[e.u] = incident.get(e.u, 0) | bit
             incident[e.v] = incident.get(e.v, 0) | bit
             shift += 1
+        run = len(by_colour[colour])
+        widths[depth] = (1 << run) - 1
+        if not must_pick:
+            skips[depth] = 1 << run
         guards[depth] = 1 << shift
         shift += 1
     for depth in range(colour_count - 1, -1, -1):
@@ -126,18 +144,21 @@ def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[i
         layers = [layer + [(-1, 0, 0)] for layer in layers]
     # a state (occupied, depth) is packed into the integer occupied | tags[depth]
     tags = [depth << len(vertex_bit) for depth in range(colour_count + 1)]
+    del incident, vertex_bit  # the search needs neither; freeing them lowers the peak
 
     refuted: set[int] = set()
     occupied = [0] * (colour_count + 1)
     free_edges = [all_edges] * (colour_count + 1)
     sizes = [0] * (colour_count + 1)
     picked = [0] * colour_count
-    cursor = [0] * (colour_count + 1)
+    # children not yet tried at depth d: bit i is layers[d][i]
+    pending = [0] * (colour_count + 1)
     best: list[int] = []
     nodes = 1
     depth = 0
     if colour_count == 0:
         return best, nodes
+    pending[0] = ((all_edges >> starts[0]) & widths[0]) | skips[0]
     while depth >= 0:
         occ = occupied[depth]
         free = free_edges[depth]
@@ -145,10 +166,11 @@ def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[i
         tag = tags[child_depth]
         later = guards[child_depth]
         layer = layers[depth]
-        for position in range(cursor[depth], len(layer)):
-            index, vertices, blocks = layer[position]
-            if occ & vertices:
-                continue
+        rest = pending[depth]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            index, vertices, blocks = layer[low.bit_length() - 1]
             child = occ | vertices
             if child | tag in refuted:
                 continue
@@ -178,11 +200,13 @@ def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[i
             refuted.add(occ | tags[depth])
             depth -= 1
             continue
-        cursor[depth] = position + 1
+        pending[depth] = rest
         picked[depth] = index
         occupied[child_depth] = child
         free_edges[child_depth] = child_free
-        cursor[child_depth] = 0
+        pending[child_depth] = (
+            (child_free >> starts[child_depth]) & widths[child_depth]
+        ) | skips[child_depth]
         depth = child_depth
     return (None if must_pick else best), nodes
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmatch import cli, graph_to_json
+from rainbowmatch import cli, graph_from_json, graph_to_json, is_full_rainbow
 from rainbowmatch.graphs import build_graph
 
 
@@ -53,6 +53,33 @@ def test_gen_usage_errors(capsys):
     assert "--m" in err
     code, _, err = run_cli(capsys, "gen", "--family", "double-star", "--m", "5")
     assert code == 1
+
+
+def test_gen_cyclic_latin_pipes_into_solve(capsys, monkeypatch):
+    # the order-10 square has no transversal: exit 3 after an exhaustive search
+    code, out, _ = run_cli(capsys, "gen", "--family", "cyclic-latin", "--n", "10")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, solved, _ = run_cli(capsys, "solve")
+    assert code == 3
+    data = json.loads(solved)
+    assert data["exists"] is False and data["exhaustive"] is True
+    assert data["nodes_explored"] == 11271
+    for n in (1, 5, 9):
+        code, out, _ = run_cli(capsys, "gen", "--family", "cyclic-latin", "--n", str(n))
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        code, solved, _ = run_cli(capsys, "solve", "-")
+        assert code == 0
+        assert is_full_rainbow(graph_from_json(json.loads(out)), json.loads(solved)["witness"])
+
+
+def test_gen_cyclic_latin_usage_errors(capsys):
+    code, out, err = run_cli(capsys, "gen", "--family", "cyclic-latin", "--n", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: n must be a positive integer, got 0\n"
+    code, _, err = run_cli(capsys, "gen", "--family", "cyclic-latin")
+    assert code == 1
+    assert err == "error: gen --family cyclic-latin requires --n\n"
 
 
 def test_unknown_command_and_help(capsys):

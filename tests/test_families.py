@@ -9,15 +9,17 @@ from rainbowmatch import (
     colour_stats,
     conjecture_report,
     constant_defeater,
+    cyclic_latin_square,
     degree_stats,
     double_star_family,
     find_full_rainbow_matching,
     hypergraph_family,
+    is_full_rainbow,
     max_degree,
     max_rainbow_matching,
     report_to_json,
 )
-from conftest import random_bipartite_graph
+from conftest import latin_square, random_bipartite_graph
 
 
 def test_family_m6_shape():
@@ -169,3 +171,26 @@ def test_constant_defeater_c1_blocked_with_certificate():
 def test_constant_defeater_rejects_nonpositive():
     with pytest.raises(ValueError):
         constant_defeater(0)
+
+
+def test_cyclic_latin_square_is_the_seed_zero_square():
+    for n in range(1, 8):
+        assert cyclic_latin_square(n) == latin_square(n, 0)
+    g = cyclic_latin_square(3)
+    assert [(e.u, e.v, e.colour) for e in g.edges[:4]] == [(0, 3, 0), (0, 4, 1), (0, 5, 2), (1, 3, 1)]
+
+
+def test_cyclic_latin_square_transversals():
+    for n in range(1, 9):
+        g = cyclic_latin_square(n)
+        matching = find_full_rainbow_matching(g).matching
+        if n % 2:
+            assert is_full_rainbow(g, matching)
+        else:
+            assert matching is None
+
+
+def test_cyclic_latin_square_rejects_small_orders():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="positive integer"):
+            cyclic_latin_square(n)

@@ -406,6 +406,35 @@ def test_hunt_worker_count_independence():
     assert hunt(spec, jobs=1) == hunt(spec, jobs=2) == hunt(spec, jobs=4)
 
 
+def test_hunt_starts_no_more_workers_than_units(monkeypatch):
+    # A stand-in pool records the worker count and runs the units in this
+    # process, so no worker is ever started.
+    import multiprocessing
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def imap(self, func, iterable):
+            return map(func, iterable)
+
+    spec = SearchSpec(max_edges=10, colour_class_size=2)
+    assert len(hunting._work_units(spec)) == 11
+    serial = hunt(spec, jobs=1)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert hunt(spec, jobs=100_000) == serial
+    assert hunt(spec, jobs=3) == serial
+    assert requested == [11, 3]
+
+
 def test_hunt_resume_skips_certified_forms():
     spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
     first = hunt(spec)

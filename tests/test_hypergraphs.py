@@ -1,5 +1,6 @@
 from collections import Counter
 import random
+import tracemalloc
 
 import pytest
 
@@ -134,6 +135,27 @@ def test_degree_stats_match_graph_statistics():
         stats = degree_stats(from_coloured_graph(g).hypergraph)
         assert stats.delta_v1 == colour_stats(g).minimum
         assert stats.delta_max_rest == max_degree(g)
+
+
+@pytest.mark.parametrize("tripartite", [True, False])
+def test_degree_stats_allocate_nothing_per_vertex(tripartite):
+    huge = 10**12
+    hypergraph = TripartiteHypergraph(
+        v1_count=2,
+        v2_count=huge,
+        v3_count=huge if tripartite else 0,
+        triples=((0, 0, huge - 1), (1, huge - 1, 0), (1, 5, huge - 2)),
+        tripartite=tripartite,
+    )
+    tracemalloc.start()
+    try:
+        stats = degree_stats(hypergraph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    # merged pool: vertices 0 and huge - 1 are on two triples each
+    assert stats == DegreeStats(delta_v1=1, delta_max_rest=1 if tripartite else 2)
 
 
 def test_family_near_tightness_of_degree_threshold():

@@ -6,7 +6,14 @@ witness), with witnesses as sorted edge indices; for even Latin squares,
 which have no transversal, only the max answer is recorded.  A change to the
 search order, the pruning or the table of refuted states that moves any
 witness shows up here, even where the new answer would still be correct.
-Node counts are deliberately not pinned.
+
+Node counts are pinned too, as (find nodes, max nodes) pairs, for Latin
+squares of orders 4-10 (seeds 0-2), double stars m = 2-8 and the same 100
+random graphs.  They were recorded from the engine with the table of refuted
+states, before each depth took its candidates from the free-edge mask; that
+change must keep the tree and cut only the cost per node, and these pins
+check that it does.  A change that means to reshape the tree (a new bound, a
+dynamic colour order) updates them deliberately.
 """
 
 import random
@@ -14,6 +21,7 @@ import random
 import pytest
 
 from rainbowmatch import double_star_family, find_full_rainbow_matching, max_rainbow_matching
+from rainbowmatch import solver
 from conftest import latin_square, max_rainbow_by_enumeration, random_graph
 
 LATIN_GOLDEN = {
@@ -146,6 +154,45 @@ LARGER_RANDOM_GOLDEN = [
     (None, 3, [2, 6, 10]),
     (None, 3, [0, 2, 3]),
 ]
+LATIN_NODES = {
+    (4, 0): (13, 34),
+    (4, 1): (5, 21),
+    (4, 2): (5, 22),
+    (5, 0): (6, 7),
+    (5, 1): (6, 6),
+    (5, 2): (6, 6),
+    (6, 0): (91, 258),
+    (6, 1): (91, 254),
+    (6, 2): (91, 255),
+    (7, 0): (9, 25),
+    (7, 1): (8, 8),
+    (7, 2): (8, 8),
+    (8, 0): (873, 2540),
+    (8, 1): (985, 2739),
+    (8, 2): (965, 2630),
+    (9, 0): (13, 44),
+    (9, 1): (10, 13),
+    (9, 2): (10, 10),
+    (10, 0): (11271, 29711),
+    (10, 1): (11821, 30931),
+    (10, 2): (11346, 30162),
+}
+DOUBLE_STAR_NODES = {2: (1, 8), 4: (1, 22), 6: (1, 44), 8: (1, 74)}
+RANDOM_NODES = [
+    (1, 9), (1, 4), (1, 12), (1, 7), (2, 13), (3, 3), (2, 21), (1, 10), (2, 2), (1, 9),
+    (2, 2), (2, 5), (1, 21), (2, 15), (3, 3), (2, 2), (2, 2), (5, 16), (3, 3), (1, 13),
+    (1, 6), (3, 10), (2, 2), (2, 2), (1, 12), (1, 11), (1, 3), (2, 6), (1, 6), (2, 12),
+    (3, 3), (1, 7), (2, 12), (1, 15), (3, 8), (3, 3), (2, 2), (1, 9), (1, 15), (2, 2),
+    (1, 12), (1, 6), (3, 3), (2, 2), (1, 13), (1, 9), (1, 14), (1, 17), (1, 7), (1, 15),
+]
+LARGER_RANDOM_NODES = [
+    (3, 3), (3, 3), (3, 3), (1, 29), (2, 31), (2, 2), (4, 5), (2, 2), (3, 3), (7, 27),
+    (1, 18), (5, 10), (1, 6), (1, 22), (1, 21), (4, 4), (2, 2), (3, 3), (1, 54), (3, 3),
+    (4, 4), (1, 9), (1, 8), (2, 25), (1, 20), (8, 27), (1, 18), (3, 3), (1, 13), (8, 20),
+    (1, 25), (3, 3), (1, 15), (1, 21), (5, 5), (3, 3), (2, 2), (4, 4), (5, 7), (4, 4),
+    (3, 3), (2, 5), (2, 5), (1, 23), (2, 2), (3, 3), (1, 30), (3, 3), (1, 25), (2, 9),
+]
+
 
 def _answer(graph):
     found = find_full_rainbow_matching(graph).matching
@@ -181,6 +228,30 @@ def test_larger_random_graph_witnesses():
         for _ in LARGER_RANDOM_GOLDEN
     ]
     assert answers == LARGER_RANDOM_GOLDEN
+
+
+def _nodes(graph):
+    return find_full_rainbow_matching(graph).nodes_explored, solver._search(graph, False)[1]
+
+
+@pytest.mark.parametrize("order, seed", sorted(LATIN_NODES))
+def test_latin_square_node_counts(order, seed):
+    assert _nodes(latin_square(order, seed)) == LATIN_NODES[order, seed]
+
+
+def test_double_star_node_counts():
+    assert {m: _nodes(double_star_family(m)) for m in DOUBLE_STAR_NODES} == DOUBLE_STAR_NODES
+
+
+def test_random_graph_node_counts():
+    rng = random.Random(926)
+    assert [_nodes(random_graph(rng)) for _ in RANDOM_NODES] == RANDOM_NODES
+    rng = random.Random(927)
+    larger = [
+        _nodes(random_graph(rng, max_vertices=12, max_colours=7, max_edges=24))
+        for _ in LARGER_RANDOM_NODES
+    ]
+    assert larger == LARGER_RANDOM_NODES
 
 
 def test_refuted_states_are_keyed_by_depth():
