@@ -38,7 +38,7 @@ size, _ = max_rainbow_matching(graph)
 print(f"  largest rainbow matching: {size} of {graph.colour_count} colours "
       "(one colour always left out)")
 
-hypergraph = from_coloured_graph(graph).hypergraph
+hypergraph = from_coloured_graph(graph)
 stats = degree_stats(hypergraph)
 print(f"  hypergraph view: delta(V1)={stats.delta_v1}, Delta(V2 u V3)={stats.delta_max_rest}"
       f"  -> delta(V1) = 2*Delta - 2, just under the proved 2*Delta threshold")

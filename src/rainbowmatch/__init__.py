@@ -25,10 +25,7 @@ from .graphs import (
     verify_matching,
 )
 from .hypergraphs import (
-    ConversionMaps,
     DegreeStats,
-    GraphConversion,
-    NotTripartiteError,
     TripartiteHypergraph,
     as_coloured_graph,
     degree_stats,
@@ -37,7 +34,6 @@ from .hypergraphs import (
     hypergraph_from_json,
     hypergraph_to_json,
     solve_v1_matching,
-    to_coloured_graph,
 )
 from .solver import (
     DEFAULT_BRUTE_LIMIT,

@@ -66,7 +66,11 @@ def _write_output(path: Optional[str], text: str) -> None:
 
 def _load_instance(path: Optional[str]):
     """Parse a graph or hypergraph JSON instance, detected by its fields."""
-    data = json.loads(_read_input(path))
+    text = _read_input(path)
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from exc
     if isinstance(data, dict) and "triples" in data:
         return hypergraphs.hypergraph_from_json(data)
     return graph_from_json(data)
@@ -108,7 +112,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     if isinstance(instance, hypergraphs.TripartiteHypergraph):
-        graph = hypergraphs.to_coloured_graph(instance)
+        graph = hypergraphs.as_coloured_graph(instance)
         if args.format == "dot":
             _write_output(args.output, graph_to_dot(graph))
         else:
@@ -116,7 +120,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     else:
         if args.format == "dot":
             raise ValueError("dot output applies to graphs; converting a graph yields a hypergraph")
-        hypergraph = hypergraphs.from_coloured_graph(instance).hypergraph
+        hypergraph = hypergraphs.from_coloured_graph(instance)
         _write_output(args.output, _dumps(hypergraphs.hypergraph_to_json(hypergraph)))
     return EXIT_OK
 
@@ -285,9 +289,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except hypergraphs.NotTripartiteError as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except json.JSONDecodeError as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -297,7 +298,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except solver.BruteForceLimitError as exc:
         print(f"{exc} (set RAINBOW_BRUTE_LIMIT to raise it)", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

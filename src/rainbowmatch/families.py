@@ -105,7 +105,7 @@ def double_star_family(m: int) -> ColouredMultigraph:
 
 def hypergraph_family(m: int) -> TripartiteHypergraph:
     """The tripartite hypergraph corresponding to the double-star graph."""
-    return from_coloured_graph(double_star_family(m)).hypergraph
+    return from_coloured_graph(double_star_family(m))
 
 
 def constant_defeater(c: int) -> ColouredMultigraph:

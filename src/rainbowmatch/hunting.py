@@ -16,11 +16,13 @@ McKay, "Isomorph-free exhaustive generation", 1998).  A complete string is
 kept only when :func:`is_canonical` accepts it: that test walks the same
 symmetry search as :func:`canonical_colouring` but stops at the first
 arrangement that beats the input.  ``candidates_examined`` counts every
-string in the space, whether it was tested whole or cut with its prefix.
+string in the space, whether it was tested whole or cut with its prefix; the
+count comes from a formula (:func:`_space_size`), not from a walk.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -257,7 +259,6 @@ def _orderly_strings(
     colours: int,
     class_size: int,
     minimum: bool,
-    examined: Optional[list[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Canonical colour strings of one (shape, colour count) unit, lexicographically.
 
@@ -278,9 +279,7 @@ def _orderly_strings(
 
     Either case exhibits a smaller member of the orbit of every completion,
     so no canonical string is cut.  Every complete string is still tested by
-    :func:`is_canonical`.  When ``examined`` is given, ``examined[0]`` grows
-    by the size of the space: one per tested string and, for each rejected
-    prefix, its number of completions.
+    :func:`is_canonical`.
     """
     total = sum(shape)
     counts = [0] * colours
@@ -293,9 +292,6 @@ def _orderly_strings(
         cycle_of.extend([k] * length)
     # colours used before each cycle, recorded when its first slot is filled
     base = [0] * len(shape)
-    # completions of a prefix, keyed by (length, largest colour, sorted
-    # counts of the used colours): the rest of the walk sees nothing else
-    memo: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
     def children(position: int, used: int, short: int) -> Iterator[tuple[int, int]]:
         # (colour, whether it fills a class still short of class_size) for
@@ -309,20 +305,6 @@ def _orderly_strings(
             filling = count < class_size
             if short - filling <= total - position - 1:
                 yield colour, filling
-
-    def completions(position: int, used: int, short: int) -> int:
-        if position == total:
-            return 1
-        key = (position, used, tuple(sorted(counts[: used + 1])))
-        found = memo.get(key)
-        if found is None:
-            found = 0
-            for colour, filling in children(position, used, short):
-                counts[colour] += 1
-                found += completions(position + 1, max(used, colour), short - filling)
-                counts[colour] -= 1
-            memo[key] = found
-        return found
 
     def rejected(length: int) -> bool:
         # the prefix current[:length], whose last slot was just filled
@@ -366,8 +348,6 @@ def _orderly_strings(
     def extend(position: int, used: int, short: int) -> Iterator[tuple[int, ...]]:
         if position == total:
             # the prune in children leaves short == 0 here: every class is full
-            if examined is not None:
-                examined[0] += 1
             flat = tuple(current)
             if is_canonical(shape, _reshape(shape, flat)):
                 yield flat
@@ -377,14 +357,36 @@ def _orderly_strings(
         for colour, filling in children(position, used, short):
             counts[colour] += 1
             current[position] = colour
-            now_used = max(used, colour)
             if not rejected(position + 1):
-                yield from extend(position + 1, now_used, short - filling)
-            elif examined is not None:
-                examined[0] += completions(position + 1, now_used, short - filling)
+                yield from extend(position + 1, max(used, colour), short - filling)
             counts[colour] -= 1
 
     yield from extend(0, -1, colours * class_size)
+
+
+@functools.cache
+def _space_size(total: int, colours: int, class_size: int, minimum: bool) -> int:
+    """Number of strings in the space of :func:`_orderly_strings`, whatever
+    the shape.
+
+    A restricted-growth string is a set partition of its positions, so this
+    counts the partitions of ``total`` positions into ``colours`` blocks of
+    exactly ``class_size`` (at least that many with ``minimum``), by the
+    block of the last position.  Either that block has exactly
+    ``class_size`` members, the others chosen among the earlier positions and
+    the rest split into ``colours - 1`` blocks; or, with ``minimum``, it is
+    larger, and without the last position the partition is one of
+    ``total - 1`` positions into ``colours`` blocks, any of which the last
+    position may join.
+    """
+    if colours == 0 or total < colours * class_size:
+        return int(total == colours == 0)
+    size = math.comb(total - 1, class_size - 1) * _space_size(
+        total - class_size, colours - 1, class_size, minimum
+    )
+    if minimum:
+        size += colours * _space_size(total - 1, colours, class_size, minimum)
+    return size
 
 
 def _reshape(shape: tuple[int, ...], flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -478,10 +480,8 @@ def _examine_unit(
     spec, shape, colours, skip_forms, brute_limit = args
     results: list[SearchResult] = []
     orbits = skipped = 0
-    examined = [0]
-    for flat in _orderly_strings(
-        shape, colours, spec.colour_class_size, spec.class_size_is_minimum, examined
-    ):
+    class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
+    for flat in _orderly_strings(shape, colours, class_size, minimum):
         blocks = _reshape(shape, flat)
         orbits += 1
         label = canonical_label(shape, blocks)
@@ -514,7 +514,7 @@ def _examine_unit(
                 canonical_form=label,
             )
         )
-    return results, examined[0], orbits, skipped
+    return results, _space_size(sum(shape), colours, class_size, minimum), orbits, skipped
 
 
 def hunt(
@@ -630,6 +630,8 @@ def read_certified_forms(lines: Iterator[str]) -> set[str]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecordError(f"line {number} is not JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise MalformedRecordError(f"line {number} is not JSON: nested too deeply") from exc
         if not isinstance(record, dict):
             raise MalformedRecordError(f"line {number} is not a JSON object")
         if record.get("type") == "result":

@@ -4,26 +4,27 @@ A coloured graph G maps to a hypergraph H whose vertices are the vertices of
 G together with one new vertex per colour (the class V1).  Each coloured edge
 {u, v} with colour c becomes the hyperedge {c, u, v}, so a full rainbow
 matching of G is exactly a matching of H covering all of V1.  When G is
-bipartite the hypergraph is tripartite with V2 and V3 the two sides.
+bipartite the hypergraph is tripartite with V2 and V3 the two sides;
+otherwise V2 is one merged pool of G's vertices.
+
+The hypergraph is an input and output format.  :func:`from_coloured_graph`
+is the one way in and :func:`as_coloured_graph` the one way back, and the
+V1-matching solvers run on that graph view.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from . import solver
-from .graphs import ColouredMultigraph, InvalidInstanceError, bipartition, build_graph
+from .graphs import ColouredMultigraph, InvalidInstanceError, _sides, build_graph
 
 __all__ = [
     "TripartiteHypergraph",
-    "NotTripartiteError",
-    "ConversionMaps",
-    "GraphConversion",
     "DegreeStats",
     "from_coloured_graph",
-    "to_coloured_graph",
     "as_coloured_graph",
     "degree_stats",
     "has_v1_matching",
@@ -31,10 +32,6 @@ __all__ = [
     "hypergraph_to_json",
     "hypergraph_from_json",
 ]
-
-
-class NotTripartiteError(ValueError):
-    """An operation requiring a tripartite hypergraph received a merged-pool one."""
 
 
 @dataclass(frozen=True)
@@ -90,92 +87,41 @@ class DegreeStats:
     delta_max_rest: int
 
 
-class ConversionMaps(NamedTuple):
-    """How original identifiers map into the hypergraph classes.
+def from_coloured_graph(graph: ColouredMultigraph) -> TripartiteHypergraph:
+    """The hypergraph of a coloured graph, triple i for edge i.
 
-    Colours map to V1 by identity.  Non-isolated graph vertices map into V2
-    (left side, or the whole merged pool) or V3 (right side); isolated
-    vertices are dropped because degree-0 vertices outside V1 affect no
-    statistic of interest, so they appear in ``dropped_vertices`` only.
+    If the graph is bipartite the result is tripartite: V2 and V3 are the
+    two sides, each component's smallest vertex in V2.  Otherwise the
+    vertices share one merged pool and ``tripartite`` is False.  Only the
+    vertices that carry an edge are kept, each class numbered in ascending
+    original identifier, so isolated vertices are dropped and the cost does
+    not grow with ``vertex_count``.
     """
-
-    colour_to_v1: dict[int, int]
-    vertex_to_v2: dict[int, int]
-    vertex_to_v3: dict[int, int]
-    dropped_vertices: tuple[int, ...]
-
-
-class GraphConversion(NamedTuple):
-    hypergraph: TripartiteHypergraph
-    maps: ConversionMaps
-
-
-def from_coloured_graph(graph: ColouredMultigraph) -> GraphConversion:
-    """Convert a coloured graph into its hypergraph, one triple per edge.
-
-    Triples follow edge order.  If the graph is bipartite the result is
-    tripartite with V2/V3 the two sides (each indexed in ascending original
-    identifier); otherwise all vertices share one merged pool and the
-    ``tripartite`` flag is False.
-    """
-    isolated = set(range(graph.vertex_count))
-    for e in graph.edges:
-        isolated.discard(e.u)
-        isolated.discard(e.v)
-
-    sides = bipartition(graph)
-    if sides is not None:
-        left = sorted(v for v in sides[0] if v not in isolated)
-        right = sorted(v for v in sides[1] if v not in isolated)
-        v2_index = {v: i for i, v in enumerate(left)}
-        v3_index = {v: i for i, v in enumerate(right)}
-        triples = []
-        for e in graph.edges:
-            if e.u in v2_index:
-                triples.append((e.colour, v2_index[e.u], v3_index[e.v]))
-            else:
-                triples.append((e.colour, v2_index[e.v], v3_index[e.u]))
-        hypergraph = TripartiteHypergraph(
-            v1_count=graph.colour_count,
-            v2_count=len(left),
-            v3_count=len(right),
-            triples=tuple(triples),
-            tripartite=True,
-        )
-    else:
-        pool = sorted(v for v in range(graph.vertex_count) if v not in isolated)
-        v2_index = {v: i for i, v in enumerate(pool)}
-        v3_index = {}
-        hypergraph = TripartiteHypergraph(
+    side = _sides(graph)
+    if side is None:
+        carrying = {v for e in graph.edges for v in (e.u, e.v)}
+        pool = {v: i for i, v in enumerate(sorted(carrying))}
+        return TripartiteHypergraph(
             v1_count=graph.colour_count,
             v2_count=len(pool),
             v3_count=0,
-            triples=tuple((e.colour, v2_index[e.u], v2_index[e.v]) for e in graph.edges),
+            triples=tuple((e.colour, pool[e.u], pool[e.v]) for e in graph.edges),
             tripartite=False,
         )
-    maps = ConversionMaps(
-        colour_to_v1={c: c for c in range(graph.colour_count)},
-        vertex_to_v2=v2_index,
-        vertex_to_v3=v3_index,
-        dropped_vertices=tuple(sorted(isolated)),
-    )
-    return GraphConversion(hypergraph, maps)
-
-
-def to_coloured_graph(hypergraph: TripartiteHypergraph) -> ColouredMultigraph:
-    """Reconstruct the coloured graph of a tripartite hypergraph.
-
-    V2 vertices come first (0..v2_count-1), then V3; triple (a, b, c) becomes
-    the edge (b, v2_count + c) with colour a, preserving triple order.  This
-    round-trips with :func:`from_coloured_graph` up to the returned index
-    maps.
-    """
-    if not hypergraph.tripartite:
-        raise NotTripartiteError("cannot reconstruct a coloured graph from a merged-pool hypergraph")
-    return build_graph(
-        hypergraph.v2_count + hypergraph.v3_count,
-        hypergraph.v1_count,
-        [(b, hypergraph.v2_count + c, a) for (a, b, c) in hypergraph.triples],
+    classes: tuple[list[int], list[int]] = ([], [])
+    for v in sorted(side):
+        classes[side[v]].append(v)
+    index = {v: i for members in classes for i, v in enumerate(members)}
+    return TripartiteHypergraph(
+        v1_count=graph.colour_count,
+        v2_count=len(classes[0]),
+        v3_count=len(classes[1]),
+        triples=tuple(
+            (e.colour, index[e.u], index[e.v]) if side[e.u] == 0
+            else (e.colour, index[e.v], index[e.u])
+            for e in graph.edges
+        ),
+        tripartite=True,
     )
 
 
@@ -184,20 +130,20 @@ def as_coloured_graph(
 ) -> ColouredMultigraph:
     """View any instance as a coloured multigraph, triple i as edge i.
 
-    A graph is returned as it is.  A tripartite hypergraph becomes
-    :func:`to_coloured_graph` of it.  A merged-pool hypergraph is exactly a
-    coloured multigraph on its pool: triple (a, b, c) is the edge {b, c} with
-    colour a.  Solvers, statistics, reports and the brute-force oracle
-    therefore apply to every instance unchanged.
+    A graph is returned as it is.  A hypergraph's triple (a, b, c) becomes
+    the edge {b, c} with colour a: V2 vertices keep their numbers and V3
+    vertices follow them, and a merged pool is the graph's vertex set.
+    ``from_coloured_graph(as_coloured_graph(h)) == h`` for every ``h`` that
+    :func:`from_coloured_graph` returns.  Solvers, statistics, reports and
+    the brute-force oracle therefore apply to every instance unchanged.
     """
     if not isinstance(instance, TripartiteHypergraph):
         return instance
-    if instance.tripartite:
-        return to_coloured_graph(instance)
+    offset = instance.v2_count if instance.tripartite else 0
     return build_graph(
-        instance.v2_count,
+        instance.v2_count + instance.v3_count,
         instance.v1_count,
-        [(b, c, a) for (a, b, c) in instance.triples],
+        [(b, offset + c, a) for (a, b, c) in instance.triples],
     )
 
 

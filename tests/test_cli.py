@@ -178,8 +178,8 @@ def test_solve_hypergraph_input(capsys, tmp_path):
 
 
 def test_merged_pool_hypergraph_inputs(capsys, tmp_path):
-    # a triangle's hypergraph: valid input for solve/stats/check, just not
-    # reconstructible by convert
+    # a triangle's hypergraph: valid input for every command, and convert
+    # gives back the triangle on its pool
     merged = tmp_path / "merged.json"
     merged.write_text(
         '{"v1":3,"v2":3,"v3":0,"tripartite":false,'
@@ -197,7 +197,11 @@ def test_merged_pool_hypergraph_inputs(capsys, tmp_path):
     assert data["bipartite"] is False
     assert data["max_degree"] == 2
     assert run_cli(capsys, "check", str(merged))[0] == 3
-    assert run_cli(capsys, "convert", str(merged))[0] == 2
+    code, out, _ = run_cli(capsys, "convert", str(merged))
+    assert code == 0
+    assert graph_from_json(json.loads(out)) == build_graph(
+        3, 3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)]
+    )
 
 
 def test_solve_many_colours(capsys, tmp_path):
@@ -253,9 +257,11 @@ def test_convert_validates_instances(capsys, tmp_path):
     assert "self-loop" in err
     bad.write_text("{broken")
     assert run_cli(capsys, "convert", str(bad))[0] == 2
-    # a merged-pool hypergraph cannot be converted back to a graph
+    # a merged-pool hypergraph converts to the graph on its pool
     bad.write_text('{"v1":1,"v2":3,"v3":0,"tripartite":false,"triples":[[0,0,1]]}')
-    assert run_cli(capsys, "convert", str(bad))[0] == 2
+    code, out, _ = run_cli(capsys, "convert", str(bad))
+    assert code == 0
+    assert graph_from_json(json.loads(out)) == build_graph(3, 1, [(0, 1, 0)])
 
 
 def test_check_report_and_exit(capsys, tmp_path):
@@ -334,7 +340,34 @@ def test_hunt_resume_rejects_malformed_records(capsys, tmp_path, line, message):
     assert err == f"malformed record: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["stats", "check"])
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        ([command, "DEEP"], 2, "malformed JSON: nested too deeply")
+        for command in ("solve", "check", "stats", "convert")
+    ]
+    + [
+        (
+            ["hunt", "--class-size", "2", "--max-edges", "4", "--resume", "DEEP"],
+            2,
+            "malformed record: line 1 is not JSON: nested too deeply",
+        ),
+        # the shape enumeration recurses once per cycle of its first shape
+        (["hunt", "--class-size", "3000", "--max-edges", "3100"], 1, "error: maximum recursion"),
+    ],
+)
+def test_deep_recursion_ends_with_one_line(capsys, tmp_path, argv, code, prefix):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [str(deep) if arg == "DEEP" else arg for arg in argv]
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert (exit_code, out) == (code, "")
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["stats", "check", "convert"])
 def test_huge_vertex_count_allocates_nothing_per_vertex(capsys, tmp_path, command):
     path = tmp_path / "instance.json"
     path.write_text(
@@ -348,6 +381,10 @@ def test_huge_vertex_count_allocates_nothing_per_vertex(capsys, tmp_path, comman
         tracemalloc.stop()
     assert code == 0
     assert peak < 5 * 2**20
+    if command == "convert":
+        # the isolated vertices are dropped
+        assert out == '{"v1":1,"v2":1,"v3":1,"tripartite":true,"triples":[[0,0,0]]}\n'
+        return
     data = json.loads(out)
     stats = data if command == "stats" else data["stats"]
     assert stats["max_degree"] == 1

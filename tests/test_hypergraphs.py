@@ -7,9 +7,9 @@ import pytest
 from rainbowmatch import (
     DegreeStats,
     InvalidInstanceError,
-    NotTripartiteError,
     TripartiteHypergraph,
     as_coloured_graph,
+    bipartition,
     build_graph,
     colour_stats,
     degree_stats,
@@ -22,68 +22,57 @@ from rainbowmatch import (
     hypergraph_from_json,
     hypergraph_to_json,
     max_degree,
-    to_coloured_graph,
 )
 from conftest import random_bipartite_graph, random_graph, random_threshold_hypergraph
 
 
 def test_single_edge_conversion(single_edge):
-    hypergraph, maps = from_coloured_graph(single_edge)
+    hypergraph = from_coloured_graph(single_edge)
     assert hypergraph.tripartite
     assert (hypergraph.v1_count, hypergraph.v2_count, hypergraph.v3_count) == (1, 1, 1)
     assert hypergraph.triples == ((0, 0, 0),)
-    assert maps.colour_to_v1 == {0: 0}
-    assert maps.vertex_to_v2 == {0: 0}
-    assert maps.vertex_to_v3 == {1: 0}
-    assert maps.dropped_vertices == ()
 
 
 def test_double_star_conversion_counts():
-    hypergraph, _ = from_coloured_graph(double_star_family(6))
+    hypergraph = from_coloured_graph(double_star_family(6))
     assert hypergraph.tripartite
     assert hypergraph.v1_count == 7
     assert hypergraph.triple_count == 42
 
 
 def test_non_bipartite_conversion(triangle):
-    hypergraph, maps = from_coloured_graph(triangle)
+    hypergraph = from_coloured_graph(triangle)
     assert not hypergraph.tripartite
     assert hypergraph.v2_count == 3
     assert hypergraph.v3_count == 0
-    assert maps.vertex_to_v3 == {}
 
 
 def test_isolated_vertices_dropped():
     g = build_graph(4, 1, [(1, 3, 0)])
-    hypergraph, maps = from_coloured_graph(g)
-    assert maps.dropped_vertices == (0, 2)
-    assert hypergraph.v2_count + hypergraph.v3_count == 2
+    hypergraph = from_coloured_graph(g)
+    assert hypergraph == TripartiteHypergraph(1, 1, 1, ((0, 0, 0),), True)
+    assert as_coloured_graph(hypergraph) == build_graph(2, 1, [(0, 1, 0)])
 
 
-def test_to_coloured_graph_single_edge_round_trip(single_edge):
-    hypergraph, _ = from_coloured_graph(single_edge)
-    assert to_coloured_graph(hypergraph) == single_edge
-
-
-def test_to_coloured_graph_rejects_merged_pool(triangle):
-    hypergraph, _ = from_coloured_graph(triangle)
-    with pytest.raises(NotTripartiteError):
-        to_coloured_graph(hypergraph)
+def test_as_coloured_graph_single_edge_round_trip(single_edge):
+    hypergraph = from_coloured_graph(single_edge)
+    assert as_coloured_graph(hypergraph) == single_edge
 
 
 def test_round_trip_preserves_edge_multiset_g4():
     g = double_star_family(4)
-    hypergraph, maps = from_coloured_graph(g)
-    back = to_coloured_graph(hypergraph)
+    hypergraph = from_coloured_graph(g)
+    back = as_coloured_graph(hypergraph)
+    # the expected labels, derived here: each side in ascending order, the
+    # side of each component's smallest vertex first
+    left, right = bipartition(g)
+    carrying = {v for e in g.edges for v in (e.u, e.v)}
+    ordered = sorted(left & carrying) + sorted(right & carrying)
+    label = {v: i for i, v in enumerate(ordered)}
     original = Counter()
     for e in g.edges:
-        if e.u in maps.vertex_to_v2:
-            left, right = e.u, e.v
-        else:
-            left, right = e.v, e.u
-        original[
-            (maps.vertex_to_v2[left], hypergraph.v2_count + maps.vertex_to_v3[right], e.colour)
-        ] += 1
+        u, v = (e.u, e.v) if e.u in left else (e.v, e.u)
+        original[(label[u], label[v], e.colour)] += 1
     reconstructed = Counter((e.u, e.v, e.colour) for e in back.edges)
     assert original == reconstructed
 
@@ -92,10 +81,24 @@ def test_round_trip_preserves_colour_multiplicities_random():
     rng = random.Random(911)
     for _ in range(100):
         g = random_bipartite_graph(rng)
-        hypergraph, _ = from_coloured_graph(g)
-        back = to_coloured_graph(hypergraph)
+        hypergraph = from_coloured_graph(g)
+        back = as_coloured_graph(hypergraph)
         assert colour_stats(back).multiplicities == colour_stats(g).multiplicities
         assert back.edge_count == g.edge_count
+
+
+def test_round_trip_is_identity_after_first_pass():
+    rng = random.Random(916)
+    graphs = [random_bipartite_graph(rng) for _ in range(100)]
+    non_bipartite = []
+    while len(non_bipartite) < 100:
+        g = random_graph(rng)
+        if bipartition(g) is None:
+            non_bipartite.append(g)
+    for g in graphs + non_bipartite:
+        hypergraph = from_coloured_graph(g)
+        assert hypergraph.tripartite == (bipartition(g) is not None)
+        assert from_coloured_graph(as_coloured_graph(hypergraph)) == hypergraph
 
 
 def test_degree_stats_family_values():
@@ -119,7 +122,7 @@ def test_family_vertex_degrees_are_one_or_centre_degree():
 
 
 def test_degree_stats_single_edge(single_edge):
-    stats = degree_stats(from_coloured_graph(single_edge).hypergraph)
+    stats = degree_stats(from_coloured_graph(single_edge))
     assert stats.delta_v1 == 1
     assert stats.delta_max_rest == 1
 
@@ -132,7 +135,7 @@ def test_degree_stats_match_graph_statistics():
     graphs += [random_graph(rng) for _ in range(100)]
     graphs += [build_graph(n, 0, []) for n in (0, 1, 5)]
     for g in graphs:
-        stats = degree_stats(from_coloured_graph(g).hypergraph)
+        stats = degree_stats(from_coloured_graph(g))
         assert stats.delta_v1 == colour_stats(g).minimum
         assert stats.delta_max_rest == max_degree(g)
 
@@ -170,7 +173,7 @@ def test_has_v1_matching_family_blocked():
 
 
 def test_has_v1_matching_single_edge(single_edge):
-    hypergraph, _ = from_coloured_graph(single_edge)
+    hypergraph = from_coloured_graph(single_edge)
     assert has_v1_matching(hypergraph) == frozenset({0})
 
 
@@ -188,11 +191,11 @@ def test_has_v1_matching_tie_breaks_to_lower_index():
 def test_has_v1_matching_merged_pool():
     # one colour on a triangle: any single edge covers V1
     g = build_graph(3, 1, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
-    hypergraph, _ = from_coloured_graph(g)
+    hypergraph = from_coloured_graph(g)
     assert not hypergraph.tripartite
     assert has_v1_matching(hypergraph) == frozenset({0})
     # three distinct colours on a triangle: impossible
-    blocked, _ = from_coloured_graph(
+    blocked = from_coloured_graph(
         build_graph(3, 3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
     )
     assert has_v1_matching(blocked) is None
@@ -200,9 +203,9 @@ def test_has_v1_matching_merged_pool():
 
 def test_as_coloured_graph_views_every_instance(single_edge, triangle):
     assert as_coloured_graph(single_edge) is single_edge
-    tripartite, _ = from_coloured_graph(single_edge)
-    assert as_coloured_graph(tripartite) == to_coloured_graph(tripartite)
-    merged, _ = from_coloured_graph(triangle)
+    tripartite = from_coloured_graph(single_edge)
+    assert as_coloured_graph(tripartite) == single_edge
+    merged = from_coloured_graph(triangle)
     # triple i is edge i: the pool vertices are the graph's vertices
     assert as_coloured_graph(merged) == triangle
 
@@ -211,7 +214,7 @@ def test_merged_pool_solve_matches_pool_graph():
     rng = random.Random(915)
     for _ in range(150):
         g = random_graph(rng)
-        hypergraph, _ = from_coloured_graph(g)
+        hypergraph = from_coloured_graph(g)
         if hypergraph.tripartite:
             continue
         outcome = solve_v1_matching(hypergraph)
@@ -222,7 +225,7 @@ def test_hypergraph_solver_agrees_with_graph_solver():
     rng = random.Random(913)
     for _ in range(150):
         g = random_graph(rng)
-        hypergraph, _ = from_coloured_graph(g)
+        hypergraph = from_coloured_graph(g)
         graph_answer = find_full_rainbow_matching(g).matching is not None
         assert (has_v1_matching(hypergraph) is not None) == graph_answer
 
@@ -259,7 +262,7 @@ def test_validation_errors():
 def test_json_round_trip():
     rng = random.Random(915)
     for _ in range(30):
-        hypergraph, _ = from_coloured_graph(random_graph(rng))
+        hypergraph = from_coloured_graph(random_graph(rng))
         assert hypergraph_from_json(hypergraph_to_json(hypergraph)) == hypergraph
 
 
