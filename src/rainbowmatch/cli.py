@@ -64,13 +64,23 @@ def _write_output(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
+class _MalformedJSONError(ValueError):
+    """Instance input that is not UTF-8 JSON within the parser's limits."""
+
+
 def _load_instance(path: Optional[str]):
     """Parse a graph or hypergraph JSON instance, detected by its fields."""
-    text = _read_input(path)
+    try:
+        text = _read_input(path)
+    except UnicodeDecodeError as exc:
+        raise _MalformedJSONError(exc) from exc
     try:
         data = json.loads(text)
     except RecursionError as exc:
-        raise json.JSONDecodeError("nested too deeply", text, 0) from exc
+        raise _MalformedJSONError("nested too deeply") from exc
+    except ValueError as exc:
+        # a syntax error, or an integer with more digits than int() converts
+        raise _MalformedJSONError(exc) from exc
     if isinstance(data, dict) and "triples" in data:
         return hypergraphs.hypergraph_from_json(data)
     return graph_from_json(data)
@@ -289,7 +299,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidInstanceError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except json.JSONDecodeError as exc:
+    except _MalformedJSONError as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except hunting.MalformedRecordError as exc:

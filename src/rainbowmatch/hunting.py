@@ -12,19 +12,28 @@ member.  The hunter generates restricted-growth colour strings (which
 quotients out colour renaming) by orderly generation: canonicity is tested on
 prefixes while generating, and a prefix that can no longer begin a canonical
 string is cut with all its completions (Read, "Every one a winner", 1978;
-McKay, "Isomorph-free exhaustive generation", 1998).  A complete string is
-kept only when :func:`is_canonical` accepts it: that test walks the same
-symmetry search as :func:`canonical_colouring` but stops at the first
-arrangement that beats the input.  ``candidates_examined`` counts every
-string in the space, whether it was tested whole or cut with its prefix; the
-count comes from a formula (:func:`_space_size`), not from a walk.
+McKay, "Isomorph-free exhaustive generation", 1998).  Each completed cycle
+after the first, the last one included, is tested by :func:`is_canonical`
+as a colouring of the cycles so far: that test walks the same symmetry
+search as :func:`canonical_colouring` but stops at the first arrangement
+that beats the input.  A string that survives its last cycle is kept, with
+no separate test.  ``candidates_examined`` counts every string in the space,
+whether it was tested whole or cut with its prefix; the count comes from a
+formula (:func:`_space_size`), not from a walk.
+
+The sweep is lazy: work units are generated in sweep order as the hunt
+reaches them, so a hunt stopped by ``stop_after`` costs nothing for the
+shapes it never reaches.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -79,6 +88,10 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.max_edges < 1:
             raise ValueError("max_edges must be at least 1")
+        # the string generator recurses once per edge
+        limit = sys.getrecursionlimit() - 100
+        if self.max_edges > limit:
+            raise ValueError(f"max_edges must be at most {limit}")
         if self.colour_class_size < 1:
             raise ValueError("colour_class_size must be at least 1")
         if self.stop_after is not None and self.stop_after < 1:
@@ -127,22 +140,30 @@ def enumerate_two_regular_shapes(max_edges: int, bipartite: bool) -> list[tuple[
     """
     if max_edges < 3:
         raise ValueError("max_edges must be at least 3")
-    min_part = 4 if bipartite else 3
-    shapes: list[tuple[int, ...]] = []
+    return [s for total in range(1, max_edges + 1) for s in _shapes_of_total(total, bipartite)]
 
-    def extend(remaining: int, min_allowed: int, acc: list[int]) -> None:
-        if acc:
-            shapes.append(tuple(acc))
-        for part in range(min_allowed, remaining + 1):
-            if bipartite and part % 2 != 0:
-                continue
-            acc.append(part)
-            extend(remaining - part, part, acc)
-            acc.pop()
 
-    extend(max_edges, min_part, [])
-    shapes.sort(key=lambda s: (sum(s), len(s), s))
-    return shapes
+def _shapes_of_total(total: int, bipartite: bool) -> Iterator[tuple[int, ...]]:
+    """The multisets of cycle lengths with exactly ``total`` edges, as
+    ascending tuples: parts at least 3, or even and at least 4 when
+    ``bipartite``; by number of parts, then lexicographically."""
+    step, least = (2, 4) if bipartite else (1, 3)
+    if total % step:
+        return
+
+    def parts(remaining: int, count: int, smallest: int) -> Iterator[tuple[int, ...]]:
+        # ascending tuples of count parts from smallest up that sum to
+        # remaining; a part never exceeds an equal share of what is left,
+        # so every branch ends in a shape
+        if count == 1:
+            yield (remaining,)
+            return
+        for part in range(smallest, remaining // count + 1, step):
+            for rest in parts(remaining - part, count - 1, part):
+                yield (part, *rest)
+
+    for count in range(1, total // least + 1):
+        yield from parts(total, count, least)
 
 
 def _dihedral_transforms(block: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -268,9 +289,9 @@ def _orderly_strings(
     with ``minimum``.  This is orderly generation: a prefix is extended only
     while it can still begin a canonical string.  It is rejected when
 
-    (a) it has just completed a cycle other than the first and the last,
-        and its complete cycles are not canonical as a colouring of their
-        own, shorter shape; or when
+    (a) it has just completed a cycle other than the first, and its
+        complete cycles are not canonical as a colouring of their own shape
+        (the whole shape, once the last cycle is complete); or when
     (b) some rotation or reflection of the cycle its last slot lies in,
         starting inside the cycle's known part and read as far as that part
         goes (round the whole cycle once it is complete), and relabelled by
@@ -278,8 +299,10 @@ def _orderly_strings(
         the known part on their overlap.
 
     Either case exhibits a smaller member of the orbit of every completion,
-    so no canonical string is cut.  Every complete string is still tested by
-    :func:`is_canonical`.
+    so no canonical string is cut, and a complete string that survives both
+    is canonical: case (a) on its last cycle is :func:`is_canonical` on the
+    whole string, and for a single cycle, case (b) on the completed cycle
+    tries every rotation and reflection with every colour renamed.
     """
     total = sum(shape)
     counts = [0] * colours
@@ -336,21 +359,18 @@ def _orderly_strings(
                     if symbol < reference:
                         return True
                     break
-        if not complete or cycle == 0 or length == total:
+        if not complete or cycle == 0:
             # a lone first cycle is settled by its own rotations and
-            # reflections, and a complete string goes to is_canonical
+            # reflections
             return False
         # case (a)
         head = shape[: cycle + 1]
-        blocks = _reshape(head, tuple(current[:length]))
-        return _beam_minimum(head, blocks, blocks) is None
+        return not is_canonical(head, _reshape(head, tuple(current[:length])))
 
     def extend(position: int, used: int, short: int) -> Iterator[tuple[int, ...]]:
         if position == total:
             # the prune in children leaves short == 0 here: every class is full
-            flat = tuple(current)
-            if is_canonical(shape, _reshape(shape, flat)):
-                yield flat
+            yield tuple(current)
             return
         if start_of[position] == position:
             base[cycle_of[position]] = used + 1
@@ -436,22 +456,16 @@ def enumerate_colourings(
 
 # --- the hunt itself ---------------------------------------------------------
 
-def _work_units(spec: SearchSpec) -> list[tuple[tuple[int, ...], int]]:
-    min_part = 4 if spec.require_bipartite else 3
-    if spec.max_edges < min_part:
-        return []
-    units = []
-    for shape in enumerate_two_regular_shapes(spec.max_edges, spec.require_bipartite):
-        total = sum(shape)
-        if spec.class_size_is_minimum:
-            colour_counts = range(1, total // spec.colour_class_size + 1)
-        elif total % spec.colour_class_size == 0:
-            colour_counts = [total // spec.colour_class_size]
-        else:
-            colour_counts = []
-        for k in colour_counts:
-            units.append((shape, k))
-    return units
+def _work_units(spec: SearchSpec) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The (shape, colour count) units of the sweep, in sweep order, generated
+    as the sweep reaches them.  Only totals with a feasible colour count are
+    visited: the multiples of the class size, or with a minimum class size
+    every total from it up."""
+    size, minimum = spec.colour_class_size, spec.class_size_is_minimum
+    for total in range(size, spec.max_edges + 1, 1 if minimum else size):
+        for shape in _shapes_of_total(total, spec.require_bipartite):
+            for k in range(1, total // size + 1) if minimum else [total // size]:
+                yield shape, k
 
 
 def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph) -> None:
@@ -533,38 +547,33 @@ def hunt(
     """
     frozen_skip = frozenset(skip_forms or ())
     units = _work_units(spec)
-    payloads = [(spec, shape, k, frozen_skip, brute_limit) for shape, k in units]
+    # a worker beyond one per unit would have nothing to do
+    first = list(itertools.islice(units, max(jobs, 1)))
+    payloads = ((spec, *unit, frozen_skip, brute_limit) for unit in itertools.chain(first, units))
 
     results: list[SearchResult] = []
-    candidates = orbits = skipped = 0
-    consumed = 0
-
-    def consume(unit_output: tuple[list[SearchResult], int, int, int]) -> bool:
-        nonlocal candidates, orbits, skipped, consumed
-        unit_results, unit_candidates, unit_orbits, unit_skipped = unit_output
-        results.extend(unit_results)
-        candidates += unit_candidates
-        orbits += unit_orbits
-        skipped += unit_skipped
-        consumed += 1
-        return spec.stop_after is not None and len(results) >= spec.stop_after
-
-    if jobs <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            if consume(_examine_unit(payload)):
-                break
-    else:
+    candidates = orbits = skipped = consumed = 0
+    if len(first) > 1:
         # imported here: nothing else needs it, and it costs every process
         # about 1 MB of memory
         import multiprocessing
 
-        # a worker beyond one per unit would have nothing to do
-        with multiprocessing.Pool(processes=min(jobs, len(payloads))) as pool:
-            for unit_output in pool.imap(_examine_unit, payloads):
-                if consume(unit_output):
-                    break
+        pool = multiprocessing.Pool(processes=len(first))
+        mapped = pool.imap
+    else:
+        pool, mapped = contextlib.nullcontext(), map
+    with pool:
+        for found, unit_candidates, unit_orbits, unit_skipped in mapped(_examine_unit, payloads):
+            results.extend(found)
+            candidates += unit_candidates
+            orbits += unit_orbits
+            skipped += unit_skipped
+            consumed += 1
+            if spec.stop_after is not None and len(results) >= spec.stop_after:
+                break
 
-    exhausted = consumed == len(payloads)
+    # a fresh walk: the pool's feeder thread may still be drawing on units
+    exhausted = next(itertools.islice(_work_units(spec), consumed, None), None) is None
     if spec.stop_after is not None:
         results = results[: spec.stop_after]
     return HuntOutcome(
@@ -619,26 +628,33 @@ def read_certified_forms(lines: Iterator[str]) -> set[str]:
 
     Raises :class:`MalformedRecordError`, naming the line, for a line that is
     not a JSON object and for a result record whose ``canonical`` is missing
-    or not a string.
+    or not a string, and, naming no line, for a stream of bytes that is not
+    UTF-8 (it is decoded in chunks, so the line is not known).
     """
     forms = set()
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError(f"line {number} is not JSON: {exc.msg}") from exc
-        except RecursionError as exc:
-            raise MalformedRecordError(f"line {number} is not JSON: nested too deeply") from exc
-        if not isinstance(record, dict):
-            raise MalformedRecordError(f"line {number} is not a JSON object")
-        if record.get("type") == "result":
-            form = record.get("canonical")
-            if not isinstance(form, str):
-                raise MalformedRecordError(
-                    f"line {number} is a result record without a string \"canonical\""
-                )
-            forms.add(form)
+    try:
+        for number, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(f"line {number} is not JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise MalformedRecordError(f"line {number} is not JSON: nested too deeply") from exc
+            except ValueError as exc:
+                # an integer with more digits than int() converts
+                raise MalformedRecordError(f"line {number} is not JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise MalformedRecordError(f"line {number} is not a JSON object")
+            if record.get("type") == "result":
+                form = record.get("canonical")
+                if not isinstance(form, str):
+                    raise MalformedRecordError(
+                        f"line {number} is a result record without a string \"canonical\""
+                    )
+                forms.add(form)
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(f"not UTF-8: {exc.reason}") from exc
     return forms

@@ -352,8 +352,13 @@ def test_hunt_resume_rejects_malformed_records(capsys, tmp_path, line, message):
             2,
             "malformed record: line 1 is not JSON: nested too deeply",
         ),
-        # the shape enumeration recurses once per cycle of its first shape
-        (["hunt", "--class-size", "3000", "--max-edges", "3100"], 1, "error: maximum recursion"),
+        # the string generator would recurse once per edge, so a bound on
+        # max_edges below the recursion limit rejects the spec up front
+        (
+            ["hunt", "--class-size", "3000", "--max-edges", "3100"],
+            1,
+            "error: max_edges must be at most",
+        ),
     ],
 )
 def test_deep_recursion_ends_with_one_line(capsys, tmp_path, argv, code, prefix):
@@ -362,6 +367,37 @@ def test_deep_recursion_ends_with_one_line(capsys, tmp_path, argv, code, prefix)
     argv = [str(deep) if arg == "DEEP" else arg for arg in argv]
     exit_code, out, err = run_cli(capsys, *argv)
     assert (exit_code, out) == (code, "")
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b'\xff\xfe{"vertices": 2}', id="not-utf8"),
+        pytest.param(
+            b'{"vertices": ' + b"9" * 5000 + b', "colours": 1, "edges": []}',
+            id="long-integer",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this Python converts integers of any length",
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [([command, "FILE"], "malformed JSON: ") for command in ("solve", "check", "stats", "convert")]
+    + [(["hunt", "--class-size", "2", "--max-edges", "4", "--resume", "FILE"], "malformed record: ")],
+    ids=["solve", "check", "stats", "convert", "hunt-resume"],
+)
+def test_unreadable_json_ends_with_exit_2(capsys, tmp_path, content, argv, prefix):
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err

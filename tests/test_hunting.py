@@ -2,6 +2,8 @@ import io
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -46,6 +48,20 @@ def test_shapes_order_and_feasible_totals():
 def test_shapes_reject_tiny_bound():
     with pytest.raises(ValueError):
         enumerate_two_regular_shapes(2, False)
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_shapes_match_brute_force_reference(bipartite):
+    for n in range(3, 21):
+        lengths = [m for m in range(3, n + 1) if not bipartite or (m >= 4 and m % 2 == 0)]
+        reference = {
+            s
+            for cycles in range(1, n // 3 + 1)
+            for s in itertools.combinations_with_replacement(lengths, cycles)
+            if sum(s) <= n
+        }
+        expected = sorted(reference, key=lambda s: (sum(s), len(s), s))
+        assert enumerate_two_regular_shapes(n, bipartite) == expected, n
 
 
 def colour_sequences(graphs):
@@ -269,10 +285,10 @@ def test_orderly_generation_cuts_no_canonical_string(monkeypatch):
         )
     }
     assert len(units) == 322
-    tested_at_leaf = []
+    tested = []
 
     def counting_is_canonical(shape, blocks):
-        tested_at_leaf.append(blocks)
+        tested.append(blocks)
         return is_canonical(shape, blocks)
 
     monkeypatch.setattr(hunting, "is_canonical", counting_is_canonical)
@@ -288,8 +304,9 @@ def test_orderly_generation_cuts_no_canonical_string(monkeypatch):
         size = hunting._space_size(sum(shape), colours, class_size, minimum)
         assert size == len(space), (shape, colours, class_size, minimum)
     # and the rejection does its work: of the 56,037 strings in these spaces,
-    # at most this many reach is_canonical (a weaker rejection lets more in)
-    assert len(tested_at_leaf) <= 4162
+    # at most this many prefixes reach is_canonical, counting every test of a
+    # completed cycle, the last one included (a weaker rejection lets more in)
+    assert len(tested) <= 3007
 
 
 def test_canonical_label_format():
@@ -303,6 +320,8 @@ def test_spec_validation():
         SearchSpec(max_edges=4, colour_class_size=0)
     with pytest.raises(ValueError):
         SearchSpec(max_edges=4, colour_class_size=2, stop_after=0)
+    with pytest.raises(ValueError, match="max_edges must be at most"):
+        SearchSpec(max_edges=sys.getrecursionlimit() - 99, colour_class_size=2)
 
 
 def test_hunt_minimal_blocked_instance():
@@ -399,6 +418,37 @@ def test_hunt_stop_after_unit_boundary():
     assert outcome.candidates_examined == 3
 
 
+def test_hunt_stopped_early_costs_nothing_for_later_shapes():
+    # 70 edges hold about a million shapes; a sweep that stops in the first
+    # few units must not generate them
+    tracemalloc.start()
+    try:
+        wide = hunt(SearchSpec(max_edges=70, colour_class_size=2, stop_after=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    narrow = hunt(SearchSpec(max_edges=10, colour_class_size=2, stop_after=3))
+    assert wide == narrow
+    assert len(wide.results) == 3 and not wide.exhausted
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "max_edges, forms",
+    [(4, ["4:0,1,0,1"]), (6, ["4:0,1,0,1", "6:0,0,1,2,1,2", "6:0,1,0,2,1,2"])],
+)
+def test_hunt_stop_after_on_last_unit_is_exhausted(jobs, max_edges, forms):
+    # the stop lands on the last unit (at 6 edges, with two workers for two
+    # units), so every unit was examined
+    spec = SearchSpec(
+        max_edges=max_edges, colour_class_size=2, require_bipartite=True, stop_after=len(forms)
+    )
+    outcome = hunt(spec, jobs=jobs)
+    assert [r.canonical_form for r in outcome.results] == forms
+    assert outcome.exhausted is True
+
+
 def test_hunt_worker_count_independence():
     spec = SearchSpec(max_edges=8, colour_class_size=2, require_bipartite=True)
     assert hunt(spec, jobs=1) == hunt(spec, jobs=2) == hunt(spec, jobs=4)
@@ -425,7 +475,7 @@ def test_hunt_starts_no_more_workers_than_units(monkeypatch):
             return map(func, iterable)
 
     spec = SearchSpec(max_edges=10, colour_class_size=2)
-    assert len(hunting._work_units(spec)) == 11
+    assert len(list(hunting._work_units(spec))) == 11
     serial = hunt(spec, jobs=1)
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     assert hunt(spec, jobs=100_000) == serial
