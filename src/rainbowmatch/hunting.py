@@ -12,14 +12,19 @@ member.  The hunter generates restricted-growth colour strings (which
 quotients out colour renaming) by orderly generation: canonicity is tested on
 prefixes while generating, and a prefix that can no longer begin a canonical
 string is cut with all its completions (Read, "Every one a winner", 1978;
-McKay, "Isomorph-free exhaustive generation", 1998).  Each completed cycle
-after the first, the last one included, is tested by :func:`is_canonical`
-as a colouring of the cycles so far: that test walks the same symmetry
-search as :func:`canonical_colouring` but stops at the first arrangement
-that beats the input.  A string that survives its last cycle is kept, with
-no separate test.  ``candidates_examined`` counts every string in the space,
-whether it was tested whole or cut with its prefix; the count comes from a
-formula (:func:`_space_size`), not from a walk.
+McKay, "Isomorph-free exhaustive generation", 1998).  The prefix tests are
+incremental.  Against the rotations and reflections of the cycle being
+filled, each position keeps those that still tie with the prefix, so a new
+slot costs about one comparison per tied transform.  Against rearrangements
+of the completed cycles, each completed cycle keeps the colour maps under
+which some arrangement reads exactly as the prefix.  A longer cycle after
+it needs the symmetry search of :func:`canonical_colouring` only under the
+maps other than the identity, and a cycle inside a run of equal lengths
+runs that search over the run alone, from the maps kept before it.  A
+string that survives its last cycle is kept, with no separate test.
+``candidates_examined`` counts every string in the space, whether it was
+tested whole or cut with its prefix; the count comes from a formula
+(:func:`_space_size`), not from a walk.
 
 The sweep is lazy: work units are generated in sweep order as the hunt
 reaches them, so a hunt stopped by ``stop_after`` costs nothing for the
@@ -35,7 +40,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .graphs import (
     ColouredMultigraph,
@@ -181,8 +186,10 @@ def _beam_minimum(
     shape: tuple[int, ...],
     blocks: tuple[tuple[int, ...], ...],
     target: Optional[tuple[tuple[int, ...], ...]] = None,
-) -> Optional[tuple[int, ...]]:
-    """Flattened lexicographic minimum of a cycle colouring over its orbit.
+    maps: Sequence[dict[int, int]] = ({},),
+) -> Optional[tuple[tuple[int, ...], list[dict[int, int]]]]:
+    """Flattened lexicographic minimum of a cycle colouring over its orbit,
+    with the colour maps of the arrangements that reach it.
 
     For a fixed geometric arrangement the best colour renaming is the
     first-occurrence relabelling (colour 0 for the first symbol seen, and so
@@ -192,6 +199,13 @@ def _beam_minimum(
     relabels greedily, and only the extensions tied with the slot's best
     segment survive.  Equal-length slots are interchangeable, which is exactly
     the cycle-permutation part of the group.
+
+    The walk starts from each of ``maps`` (by default the empty map).  A map
+    renames the colours of cycles placed before these, and a colour it lacks
+    takes its next label, which is its size.  Once every cycle is placed the
+    survivors differ only in their maps, and those are returned with the
+    minimum, in the order found: when the arrangement that leaves every cycle
+    in place survives from the first map, its map comes first.
 
     Each candidate is compared with the slot's best segment element by
     element and dropped at its first larger symbol.  Without ``target`` the
@@ -203,8 +217,8 @@ def _beam_minimum(
     if len(blocks) != len(shape) or any(len(b) != n for b, n in zip(blocks, shape)):
         raise ValueError("colouring does not match shape")
     # All beam entries share the best prefix, so only the new segment needs
-    # comparing.  mapping is old colour -> new; its next label is its size.
-    beam: list[tuple[frozenset[int], dict[int, int]]] = [(frozenset(), {})]
+    # comparing.  mapping is old colour -> new.
+    beam: list[tuple[frozenset[int], dict[int, int]]] = [(frozenset(), m) for m in maps]
     transforms = [_dihedral_transforms(block) for block in blocks]
     out: list[int] = []
     for slot, slot_length in enumerate(shape):
@@ -215,7 +229,9 @@ def _beam_minimum(
                 if i in used or len(block) != slot_length:
                     continue
                 for transformed in transforms[i]:
-                    new_map = dict(mapping)
+                    if mapping.get(transformed[0], len(mapping)) > best[0]:
+                        continue  # above at its first symbol
+                    new_map = mapping.copy()
                     order = 0  # sign of segment - best on the prefix compared so far
                     for symbol, reference in zip(transformed, best):
                         value = new_map.get(symbol)
@@ -243,7 +259,7 @@ def _beam_minimum(
             return None
         out.extend(best)
         beam = list(survivors.values())
-    return tuple(out)
+    return tuple(out), [mapping for _, mapping in beam]
 
 
 def canonical_colouring(
@@ -255,7 +271,7 @@ def canonical_colouring(
     per-cycle rotations and reflections, permutations of equal-length cycles,
     and colour renaming.
     """
-    return _reshape(shape, _beam_minimum(shape, blocks))
+    return _reshape(shape, _beam_minimum(shape, blocks)[0])
 
 
 def is_canonical(shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> bool:
@@ -303,18 +319,54 @@ def _orderly_strings(
     is canonical: case (a) on its last cycle is :func:`is_canonical` on the
     whole string, and for a single cycle, case (b) on the completed cycle
     tries every rotation and reflection with every colour renamed.
+
+    Both tests are incremental, so a prefix costs about one comparison per
+    transform that still ties with it, as in the necklace and bracelet tests
+    of Ruskey, Savage and Wang ("Generating necklaces", 1992) and Sawada
+    ("Generating bracelets in constant amortized time", 2001).  For case (b)
+    each position keeps the rotations whose reading still equals the known
+    part; a new slot compares one symbol for each (one found above stays
+    above), then the rotation and the reflection starting at the slot.  A
+    completed cycle reads only its tied rotations and reflections round it.
+    For case (a) each completed cycle keeps the colour maps under which some
+    arrangement of the cycles so far reads as the prefix, identity first.
+    Under the identity, a cycle whose length no earlier cycle has is tested
+    by case (b), so the beam (:func:`_beam_minimum`) runs only when the
+    cycle before has other maps, and most prefixes have none.  A cycle
+    inside a run of equal lengths runs the beam over the run, from the maps
+    kept before it; if an earlier cycle outside the run has its length too
+    (never in a hunt, whose shapes ascend), over the whole head.
     """
     total = sum(shape)
     counts = [0] * colours
     current = [0] * total
-    # per position: the index of its cycle and where that cycle starts
+    # per position: the index of its cycle and where that cycle starts; per
+    # cycle: the first cycle of its run of equal lengths, or 0 when an
+    # earlier cycle outside that run has its length too
     cycle_of: list[int] = []
     start_of: list[int] = []
+    run_of: list[int] = []
     for k, length in enumerate(shape):
+        if k and length == shape[k - 1]:
+            run_of.append(run_of[-1])
+        else:
+            run_of.append(0 if length in shape[:k] else k)
         start_of.extend([len(cycle_of)] * length)
         cycle_of.extend([k] * length)
     # colours used before each cycle, recorded when its first slot is filled
     base = [0] * len(shape)
+    # per filled position: the previous position of its colour (-1 if none;
+    # last holds each colour's latest), the highest colour in its cycle so
+    # far (at least base - 1), the rotations, by their offset from the
+    # cycle's start, whose relabelled reading still equals the known part,
+    # and whether the reflection starting there tied over its whole reading
+    last = [-1] * colours
+    previous = [-1] * total
+    top = [0] * total
+    tied: list[list[int]] = [[]] * total
+    mirror = [False] * total
+    # per completed cycle: its colour maps, identity first
+    maps: list[list[dict[int, int]]] = [[]] * len(shape)
 
     def children(position: int, used: int, short: int) -> Iterator[tuple[int, int]]:
         # (colour, whether it fills a class still short of class_size) for
@@ -329,43 +381,108 @@ def _orderly_strings(
             if short - filling <= total - position - 1:
                 yield colour, filling
 
-    def rejected(length: int) -> bool:
-        # the prefix current[:length], whose last slot was just filled
-        cycle = cycle_of[length - 1]
-        known = current[start_of[length - 1] : length]
-        complete = len(known) == shape[cycle]
-        # case (b) first, as it is the cheaper test
-        if complete:
-            # every rotation and reflection of the cycle, read round it
-            transforms = [known[i:] + known[:i] for i in range(1, len(known))]
-            transforms += [known[i::-1] + known[:i:-1] for i in range(len(known))]
-        else:
-            # the reflections starting before the new slot were tried on
-            # shorter prefixes, and their known parts have not grown since
-            transforms = [known[i:] for i in range(1, len(known))]
-            transforms.append(known[::-1])
-        # colours of the earlier cycles keep their names, and the others
-        # are renamed from fresh upwards in order of first occurrence
+    def compare(reading: list[int], known: list[int], fresh: int) -> tuple[int, dict[int, int]]:
+        # the sign of reading - known on their overlap, where the colours of
+        # the earlier cycles keep their names and the others are renamed from
+        # fresh upwards in order of first occurrence; and that renaming
+        relabel: dict[int, int] = {}
+        for symbol, reference in zip(reading, known):
+            if symbol >= fresh:
+                value = relabel.get(symbol)
+                if value is None:
+                    value = relabel[symbol] = fresh + len(relabel)
+                symbol = value
+            if symbol != reference:
+                return symbol - reference, relabel
+        return 0, relabel
+
+    def rejected(position: int) -> bool:
+        # the prefix up to position, whose slot was just filled
+        cycle, start, symbol = cycle_of[position], start_of[position], current[position]
         fresh = base[cycle]
-        for transformed in transforms:
-            relabel: dict[int, int] = {}
-            for symbol, reference in zip(transformed, known):
-                if symbol >= fresh:
-                    value = relabel.get(symbol)
-                    if value is None:
-                        value = relabel[symbol] = fresh + len(relabel)
-                    symbol = value
-                if symbol != reference:
-                    if symbol < reference:
-                        return True
-                    break
-        if not complete or cycle == 0:
-            # a lone first cycle is settled by its own rotations and
-            # reflections
+        top[position] = max(top[position - 1] if position > start else fresh - 1, symbol)
+        # case (b): the rotation and the reflection starting at the new slot
+        # both read it first, renamed as the first of its window
+        lead = min(symbol, fresh) - current[start]
+        if lead < 0:
+            return True
+        if position - start + 1 == shape[cycle]:
+            return completed(position, cycle, start, fresh, lead)
+        still = []
+        if position > start:
+            # the new symbol as each tied rotation i reads it, against the
+            # known symbol i places before it
+            earlier = previous[position]
+            for i in tied[position - 1]:
+                if symbol < fresh:
+                    value = symbol
+                elif earlier - i >= start:
+                    # the colour is already renamed inside the rotation
+                    value = current[earlier - i]
+                else:
+                    value = top[position - i - 1] + 1
+                reference = current[position - i]
+                if value < reference:
+                    return True
+                if value == reference:
+                    still.append(i)
+            if not lead:
+                still.append(position - start)
+        tied[position] = still
+        # the reflection starting at the new slot, read on while it ties
+        if lead or position == start:
+            mirror[position] = not lead
             return False
-        # case (a)
-        head = shape[: cycle + 1]
-        return not is_canonical(head, _reshape(head, tuple(current[:length])))
+        known = current[start : position + 1]
+        sign = compare(known[::-1], known, fresh)[0]
+        mirror[position] = sign == 0
+        return sign < 0
+
+    def completed(position: int, cycle: int, start: int, fresh: int, lead: int) -> bool:
+        known = current[start : position + 1]
+        length = len(known)
+        # case (b) round the cycle, for the rotations and reflections still
+        # tied (one that read above on a shorter prefix stays above), those
+        # starting at the last slot included unless its lead is above; with
+        # the identity, each one that reads equal renames the cycle's new
+        # colours into a colour map of the prefix
+        ends = [] if lead else [length - 1]
+        rotations = tied[position - 1] + ends
+        reflections = [i for i in range(length - 1) if mirror[start + i]] + ends
+        readings = [known[i:] + known[:i] for i in rotations]
+        readings += [known[i::-1] + known[:i:-1] for i in reflections]
+        renamings = {tuple((c, c) for c in range(fresh, top[position] + 1)): None}
+        for reading in readings:
+            sign, relabel = compare(reading, known, fresh)
+            if sign < 0:
+                return True
+            if sign == 0:
+                renamings[tuple(relabel.items())] = None
+        # case (a): a cycle inside a run is placed anywhere in the run (the
+        # run is the whole head when it is out of order)
+        first = run_of[cycle]
+        if first < cycle:
+            head = shape[first : cycle + 1]
+            run = tuple(current[sum(shape[:first]) : position + 1])
+            blocks = _reshape(head, run)
+            found = _beam_minimum(head, blocks, blocks, maps[first - 1] if first else ({},))
+            if found is None:
+                return True
+            maps[cycle] = found[1]
+            return False
+        # a cycle of a new length stays in place, so under the identity alone
+        # case (b) was its test; with other maps the beam starts from all of
+        # them, and the identity's own reading always survives
+        if cycle and len(maps[cycle - 1]) > 1:
+            block = (tuple(known),)
+            found = _beam_minimum((length,), block, block, maps[cycle - 1])
+            if found is None:
+                return True
+            maps[cycle] = found[1]
+        else:
+            kept = tuple((c, c) for c in range(fresh))
+            maps[cycle] = [dict(kept + renaming) for renaming in renamings]
+        return False
 
     def extend(position: int, used: int, short: int) -> Iterator[tuple[int, ...]]:
         if position == total:
@@ -377,8 +494,11 @@ def _orderly_strings(
         for colour, filling in children(position, used, short):
             counts[colour] += 1
             current[position] = colour
-            if not rejected(position + 1):
+            previous[position] = last[colour]
+            last[colour] = position
+            if not rejected(position):
                 yield from extend(position + 1, max(used, colour), short - filling)
+            last[colour] = previous[position]
             counts[colour] -= 1
 
     yield from extend(0, -1, colours * class_size)

@@ -240,7 +240,20 @@ def orbits_by_union_find(shape, colours, class_size):
 
 @pytest.mark.parametrize(
     "shape, class_size",
-    [((4, 4), 2), ((4, 4), 4), ((3, 5), 2), ((8,), 2), ((8,), 4), ((3, 3, 3), 3)],
+    [
+        ((4, 4), 2),
+        ((4, 4), 4),
+        ((3, 5), 2),
+        ((8,), 2),
+        ((8,), 4),
+        ((3, 3, 3), 3),
+        # at 12 edges, out of the orderly reference's reach: a three-cycle
+        # run of equal lengths, and a run followed by a longer cycle
+        ((4, 4, 4), 4),
+        ((3, 3, 6), 4),
+        # equal lengths apart, which no hunt shape has
+        ((3, 4, 3), 5),
+    ],
 )
 def test_is_canonical_accepts_one_string_per_orbit(shape, class_size):
     colours = sum(shape) // class_size
@@ -285,13 +298,13 @@ def test_orderly_generation_cuts_no_canonical_string(monkeypatch):
         )
     }
     assert len(units) == 322
-    tested = []
+    beam = hunting._beam_minimum
+    beamed = []
 
-    def counting_is_canonical(shape, blocks):
-        tested.append(blocks)
-        return is_canonical(shape, blocks)
+    def counting_beam(*args):
+        beamed.append(args[0])
+        return beam(*args)
 
-    monkeypatch.setattr(hunting, "is_canonical", counting_is_canonical)
     for shape, colours, class_size, minimum in sorted(units):
         space = [
             s
@@ -299,14 +312,18 @@ def test_orderly_generation_cuts_no_canonical_string(monkeypatch):
             if min(sizes) >= class_size and (minimum or max(sizes) == class_size)
         ]
         expected = [s for s in space if is_canonical(shape, split(shape, s))]
-        generated = list(hunting._orderly_strings(shape, colours, class_size, minimum))
+        with monkeypatch.context() as patch:
+            patch.setattr(hunting, "_beam_minimum", counting_beam)
+            generated = list(hunting._orderly_strings(shape, colours, class_size, minimum))
         assert generated == expected, (shape, colours, class_size, minimum)
         size = hunting._space_size(sum(shape), colours, class_size, minimum)
         assert size == len(space), (shape, colours, class_size, minimum)
     # and the rejection does its work: of the 56,037 strings in these spaces,
-    # at most this many prefixes reach is_canonical, counting every test of a
-    # completed cycle, the last one included (a weaker rejection lets more in)
-    assert len(tested) <= 3007
+    # the generator runs the beam of _beam_minimum at most this many times,
+    # for a completed cycle in a run of equal lengths or one whose prefix
+    # has a colour map other than the identity (a weaker rejection lets more
+    # prefixes reach it)
+    assert len(beamed) <= 2233
 
 
 def test_canonical_label_format():
