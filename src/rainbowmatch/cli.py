@@ -2,10 +2,10 @@
 
 Exit codes: 0 = success (for solve/check: a matching exists); 3 = solve or
 check completed and certified that no matching exists; 1 = usage or
-operational error; 2 = malformed or invalid instance, or a malformed hunt
-record in a --resume file.  The distinct code for a certified negative lets
-shell pipelines branch on the mathematical outcome instead of treating it as
-a failure.
+operational error, or an unexpected fault; 2 = malformed or invalid
+instance, or a malformed hunt record in a --resume file.  The distinct code
+for a certified negative lets shell pipelines branch on the mathematical
+outcome instead of treating it as a failure.
 
 All output is newline-terminated JSON (or JSON-lines for hunt); human tables
 sit behind --pretty.  The environment variable RAINBOW_BRUTE_LIMIT overrides
@@ -310,6 +310,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        # a fault of the program, not of its input: still one line
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -258,10 +258,17 @@ DOT_PALETTE = (
 
 
 def graph_to_dot(graph: ColouredMultigraph) -> str:
-    """Render the graph in DOT, one edge per line with color and label attributes."""
+    """Render the graph in DOT, one edge per line with color and label attributes.
+
+    Node lines name the vertices that carry an edge, in increasing order; a
+    comment line counts the isolated others, if any, so a huge vertex count
+    costs nothing per vertex.
+    """
+    used = sorted({v for e in graph.edges for v in (e.u, e.v)})
     lines = ["graph G {"]
-    for v in range(graph.vertex_count):
-        lines.append(f"  {v};")
+    if graph.vertex_count > len(used):
+        lines.append(f"  // {graph.vertex_count - len(used)} isolated vertices")
+    lines.extend(f"  {v};" for v in used)
     for e in graph.edges:
         name = DOT_PALETTE[e.colour % len(DOT_PALETTE)]
         lines.append(f'  {e.u} -- {e.v} [color={name}, label="{e.colour}"];')

@@ -13,15 +13,14 @@ quotients out colour renaming) by orderly generation: canonicity is tested on
 prefixes while generating, and a prefix that can no longer begin a canonical
 string is cut with all its completions (Read, "Every one a winner", 1978;
 McKay, "Isomorph-free exhaustive generation", 1998).  The prefix tests are
-incremental.  Against the rotations and reflections of the cycle being
-filled, each position keeps those that still tie with the prefix, so a new
-slot costs about one comparison per tied transform.  Against rearrangements
-of the completed cycles, each completed cycle keeps the colour maps under
-which some arrangement reads exactly as the prefix.  A longer cycle after
-it needs the symmetry search of :func:`canonical_colouring` only under the
-maps other than the identity, and a cycle inside a run of equal lengths
-runs that search over the run alone, from the maps kept before it.  A
-string that survives its last cycle is kept, with no separate test.
+incremental.  Each completed cycle keeps the colour maps under which some
+arrangement of the cycles so far reads exactly as the prefix.  Against the
+rotations and reflections of the cycle being filled, under each of those
+maps, each position keeps the ones that still tie with the prefix, so a new
+slot costs about one comparison per tied pair.  Only a cycle inside a run of
+equal lengths needs the symmetry search of :func:`canonical_colouring`,
+over the run, from the maps kept before it.  A string that survives its last
+cycle is kept, with no separate test.
 ``candidates_examined`` counts every string in the space, whether it was
 tested whole or cut with its prefix; the count comes from a formula
 (:func:`_space_size`), not from a walk.
@@ -303,39 +302,39 @@ def _orderly_strings(
     after all smaller colours have, which quotients out colour renaming)
     with every class of exactly ``class_size`` edges, or at least that many
     with ``minimum``.  This is orderly generation: a prefix is extended only
-    while it can still begin a canonical string.  It is rejected when
+    while it can still begin a canonical string.  Each completed cycle keeps
+    its colour maps: the renamings under which some arrangement of the cycles
+    so far reads exactly as the prefix, identity first.  A prefix is rejected
+    when
 
-    (a) it has just completed a cycle other than the first, and its
-        complete cycles are not canonical as a colouring of their own shape
-        (the whole shape, once the last cycle is complete); or when
-    (b) some rotation or reflection of the cycle its last slot lies in,
-        starting inside the cycle's known part and read as far as that part
-        goes (round the whole cycle once it is complete), and relabelled by
-        first occurrence after the colours of the earlier cycles, is below
-        the known part on their overlap.
+    (a) it has just completed a cycle inside a run of equal lengths, and
+        some arrangement of the run's cycles, under a map kept before the
+        run, reads below the prefix (the run is the whole head when an
+        earlier cycle outside it has its length too, which no hunt's
+        ascending shape has); or when
+    (b) under some map kept before the cycle its last slot lies in, some
+        rotation or reflection of that cycle, starting inside its known part
+        and read as far as that part goes (round the whole cycle once it is
+        complete), with the earlier cycles' colours renamed by the map and
+        the others by first occurrence, is below the known part on their
+        overlap.
 
     Either case exhibits a smaller member of the orbit of every completion,
-    so no canonical string is cut, and a complete string that survives both
-    is canonical: case (a) on its last cycle is :func:`is_canonical` on the
-    whole string, and for a single cycle, case (b) on the completed cycle
-    tries every rotation and reflection with every colour renamed.
+    so no canonical string is cut.  A complete string that survives both is
+    canonical: its cycles are filled in order, and under every arrangement
+    that ties with the prefix so far, each cycle of a new length stays in
+    its slot, where case (b) tested it, and each run was tested by case (a).
 
     Both tests are incremental, so a prefix costs about one comparison per
     transform that still ties with it, as in the necklace and bracelet tests
     of Ruskey, Savage and Wang ("Generating necklaces", 1992) and Sawada
     ("Generating bracelets in constant amortized time", 2001).  For case (b)
-    each position keeps the rotations whose reading still equals the known
-    part; a new slot compares one symbol for each (one found above stays
-    above), then the rotation and the reflection starting at the slot.  A
-    completed cycle reads only its tied rotations and reflections round it.
-    For case (a) each completed cycle keeps the colour maps under which some
-    arrangement of the cycles so far reads as the prefix, identity first.
-    Under the identity, a cycle whose length no earlier cycle has is tested
-    by case (b), so the beam (:func:`_beam_minimum`) runs only when the
-    cycle before has other maps, and most prefixes have none.  A cycle
-    inside a run of equal lengths runs the beam over the run, from the maps
-    kept before it; if an earlier cycle outside the run has its length too
-    (never in a hunt, whose shapes ascend), over the whole head.
+    each position keeps the (map, rotation) pairs whose reading still
+    equals the known part; a new slot compares one symbol for each (one
+    found above stays above), then the rotation and the reflection starting
+    at the slot under each map.  A completed cycle reads only its tied pairs
+    round it, and those that read equal give its maps.  Case (a) runs the
+    beam of :func:`_beam_minimum` over the run, from the maps kept before it.
     """
     total = sum(shape)
     counts = [0] * colours
@@ -357,16 +356,18 @@ def _orderly_strings(
     base = [0] * len(shape)
     # per filled position: the previous position of its colour (-1 if none;
     # last holds each colour's latest), the highest colour in its cycle so
-    # far (at least base - 1), the rotations, by their offset from the
-    # cycle's start, whose relabelled reading still equals the known part,
-    # and whether the reflection starting there tied over its whole reading
+    # far (at least base - 1), the (colour map, rotation offset from the
+    # cycle's start) pairs whose relabelled reading still equals the known
+    # part, and the maps under which the reflection starting there tied over
+    # its whole reading
     last = [-1] * colours
     previous = [-1] * total
     top = [0] * total
-    tied: list[list[int]] = [[]] * total
-    mirror = [False] * total
-    # per completed cycle: its colour maps, identity first
-    maps: list[list[dict[int, int]]] = [[]] * len(shape)
+    tied: list[list[tuple[tuple[int, ...], int]]] = [[]] * total
+    mirror: list[list[tuple[int, ...]]] = [[]] * total
+    # before each cycle: the colour maps of the cycles so far, identity
+    # first; a map gives each of their colours its new name
+    maps: list[list[tuple[int, ...]]] = [[()]] * (len(shape) + 1)
 
     def children(position: int, used: int, short: int) -> Iterator[tuple[int, int]]:
         # (colour, whether it fills a class still short of class_size) for
@@ -381,13 +382,17 @@ def _orderly_strings(
             if short - filling <= total - position - 1:
                 yield colour, filling
 
-    def compare(reading: list[int], known: list[int], fresh: int) -> tuple[int, dict[int, int]]:
+    def compare(
+        reading: list[int], known: list[int], fresh: int, renamed: tuple[int, ...]
+    ) -> tuple[int, dict[int, int]]:
         # the sign of reading - known on their overlap, where the colours of
-        # the earlier cycles keep their names and the others are renamed from
-        # fresh upwards in order of first occurrence; and that renaming
+        # the earlier cycles are renamed by the map and the others from fresh
+        # upwards in order of first occurrence; and that second renaming
         relabel: dict[int, int] = {}
         for symbol, reference in zip(reading, known):
-            if symbol >= fresh:
+            if symbol < fresh:
+                symbol = renamed[symbol]
+            else:
                 value = relabel.get(symbol)
                 if value is None:
                     value = relabel[symbol] = fresh + len(relabel)
@@ -402,86 +407,90 @@ def _orderly_strings(
         fresh = base[cycle]
         top[position] = max(top[position - 1] if position > start else fresh - 1, symbol)
         # case (b): the rotation and the reflection starting at the new slot
-        # both read it first, renamed as the first of its window
-        lead = min(symbol, fresh) - current[start]
-        if lead < 0:
-            return True
+        # both read it first, renamed as the first of its window; the maps
+        # under which that ties with the cycle's first symbol
+        opening = current[start]
+        leading = []
+        for renamed in maps[cycle]:
+            value = renamed[symbol] if symbol < fresh else fresh
+            if value < opening:
+                return True
+            if value == opening:
+                leading.append(renamed)
         if position - start + 1 == shape[cycle]:
-            return completed(position, cycle, start, fresh, lead)
+            return completed(position, cycle, start, fresh, leading)
+        # the new symbol as each tied pair reads it, against the known symbol
+        # its rotation places before it
         still = []
-        if position > start:
-            # the new symbol as each tied rotation i reads it, against the
-            # known symbol i places before it
-            earlier = previous[position]
-            for i in tied[position - 1]:
-                if symbol < fresh:
-                    value = symbol
-                elif earlier - i >= start:
-                    # the colour is already renamed inside the rotation
-                    value = current[earlier - i]
-                else:
-                    value = top[position - i - 1] + 1
-                reference = current[position - i]
-                if value < reference:
-                    return True
-                if value == reference:
-                    still.append(i)
-            if not lead:
-                still.append(position - start)
+        earlier = previous[position]
+        for renamed, i in tied[position - 1] if position > start else ():
+            if symbol < fresh:
+                value = renamed[symbol]
+            elif earlier - i >= start:
+                # the colour is already renamed inside the rotation
+                value = current[earlier - i]
+            else:
+                value = top[position - i - 1] + 1
+            reference = current[position - i]
+            if value < reference:
+                return True
+            if value == reference:
+                still.append((renamed, i))
+        # at the cycle's start the identity reads the cycle as it is
+        still += [(renamed, position - start) for renamed in leading[position == start :]]
         tied[position] = still
-        # the reflection starting at the new slot, read on while it ties
-        if lead or position == start:
-            mirror[position] = not lead
-            return False
+        # the reflections starting at the new slot, read on while they tie
         known = current[start : position + 1]
-        sign = compare(known[::-1], known, fresh)[0]
-        mirror[position] = sign == 0
-        return sign < 0
+        reading = known[::-1]
+        reflected = []
+        for renamed in leading:
+            sign = compare(reading, known, fresh, renamed)[0]
+            if sign < 0:
+                return True
+            if not sign:
+                reflected.append(renamed)
+        mirror[position] = reflected
+        return False
 
-    def completed(position: int, cycle: int, start: int, fresh: int, lead: int) -> bool:
+    def completed(
+        position: int, cycle: int, start: int, fresh: int, leading: list[tuple[int, ...]]
+    ) -> bool:
         known = current[start : position + 1]
-        length = len(known)
-        # case (b) round the cycle, for the rotations and reflections still
-        # tied (one that read above on a shorter prefix stays above), those
-        # starting at the last slot included unless its lead is above; with
-        # the identity, each one that reads equal renames the cycle's new
-        # colours into a colour map of the prefix
-        ends = [] if lead else [length - 1]
-        rotations = tied[position - 1] + ends
-        reflections = [i for i in range(length - 1) if mirror[start + i]] + ends
-        readings = [known[i:] + known[:i] for i in rotations]
-        readings += [known[i::-1] + known[:i:-1] for i in reflections]
-        renamings = {tuple((c, c) for c in range(fresh, top[position] + 1)): None}
-        for reading in readings:
-            sign, relabel = compare(reading, known, fresh)
+        end = len(known) - 1
+        # case (b) round the cycle, for the pairs still tied (one that read
+        # above on a shorter prefix stays above), those starting at the last
+        # slot included; each one that reads equal extends its map to the
+        # cycle's new colours, a colour map of the cycles so far
+        readings = [(renamed, known[i:] + known[:i]) for renamed, i in tied[position - 1]]
+        readings += [
+            (renamed, known[i::-1] + known[:i:-1])
+            for i in range(end)
+            for renamed in mirror[start + i]
+        ]
+        for renamed in leading:
+            readings += [(renamed, known[end:] + known[:end]), (renamed, known[::-1])]
+        new = range(fresh, top[position] + 1)
+        extended = {maps[cycle][0] + tuple(new): None}
+        for renamed, reading in readings:
+            sign, relabel = compare(reading, known, fresh, renamed)
             if sign < 0:
                 return True
             if sign == 0:
-                renamings[tuple(relabel.items())] = None
+                extended[renamed + tuple(relabel[c] for c in new)] = None
         # case (a): a cycle inside a run is placed anywhere in the run (the
-        # run is the whole head when it is out of order)
+        # run is the whole head when it is out of order); a cycle of a new
+        # length stays in place, so case (b) was its test
         first = run_of[cycle]
-        if first < cycle:
-            head = shape[first : cycle + 1]
-            run = tuple(current[sum(shape[:first]) : position + 1])
-            blocks = _reshape(head, run)
-            found = _beam_minimum(head, blocks, blocks, maps[first - 1] if first else ({},))
-            if found is None:
-                return True
-            maps[cycle] = found[1]
+        if first == cycle:
+            maps[cycle + 1] = list(extended)
             return False
-        # a cycle of a new length stays in place, so under the identity alone
-        # case (b) was its test; with other maps the beam starts from all of
-        # them, and the identity's own reading always survives
-        if cycle and len(maps[cycle - 1]) > 1:
-            block = (tuple(known),)
-            found = _beam_minimum((length,), block, block, maps[cycle - 1])
-            if found is None:
-                return True
-            maps[cycle] = found[1]
-        else:
-            kept = tuple((c, c) for c in range(fresh))
-            maps[cycle] = [dict(kept + renaming) for renaming in renamings]
+        head = shape[first : cycle + 1]
+        blocks = _reshape(head, tuple(current[sum(shape[:first]) : position + 1]))
+        starts = [dict(enumerate(renamed)) for renamed in maps[first]]
+        found = _beam_minimum(head, blocks, blocks, starts)
+        if found is None:
+            return True
+        maps[cycle + 1] = [tuple(map(m.__getitem__, range(len(m)))) for m in found[1]]
         return False
 
     def extend(position: int, used: int, short: int) -> Iterator[tuple[int, ...]]:

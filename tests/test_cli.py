@@ -433,6 +433,39 @@ def test_huge_vertex_count_allocates_nothing_per_vertex(capsys, tmp_path, comman
         assert data["full_rainbow_exists"] is True
 
 
+def test_dot_conversion_allocates_nothing_per_isolated_vertex(capsys, tmp_path):
+    path = tmp_path / "hypergraph.json"
+    path.write_text(
+        json.dumps({"v1": 1, "v2": 10**12, "v3": 1, "tripartite": True, "triples": [[0, 0, 0]]})
+    )
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "convert", "--format", "dot", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 * 2**20
+    assert out.splitlines() == [
+        "graph G {",
+        f"  // {10**12 - 1} isolated vertices",
+        "  0;",
+        f"  {10**12};",
+        f'  0 -- {10**12} [color=blue, label="0"];',
+        "}",
+    ]
+
+
+def test_unexpected_error_ends_with_one_line(capsys, monkeypatch):
+    def failing_hunt(*args, **kwargs):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli.hunting, "hunt", failing_hunt)
+    code, out, err = run_cli(capsys, "hunt", "--class-size", "2", "--max-edges", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: RuntimeError: first line second line\n"
+
+
 def test_hunt_jobs_byte_identical(capsys):
     argv = ["hunt", "--bipartite", "--class-size", "2", "--max-edges", "8"]
     code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")

@@ -210,3 +210,15 @@ def test_dot_palette_cycles():
     assert '[color=blue, label="0"]' in dot
     assert '[color=blue, label="16"]' in dot
     assert '[color=black, label="15"]' in dot
+
+
+def test_dot_names_only_vertices_with_an_edge():
+    # with no isolated vertex every vertex has its node line, as before
+    assert graph_to_dot(build_graph(3, 1, [(2, 0, 0), (1, 2, 0)])) == (
+        'graph G {\n  0;\n  1;\n  2;\n  2 -- 0 [color=blue, label="0"];\n'
+        '  1 -- 2 [color=blue, label="0"];\n}\n'
+    )
+    assert graph_to_dot(build_graph(5, 1, [(3, 1, 0)])) == (
+        'graph G {\n  // 3 isolated vertices\n  1;\n  3;\n'
+        '  3 -- 1 [color=blue, label="0"];\n}\n'
+    )

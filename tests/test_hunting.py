@@ -320,10 +320,39 @@ def test_orderly_generation_cuts_no_canonical_string(monkeypatch):
         assert size == len(space), (shape, colours, class_size, minimum)
     # and the rejection does its work: of the 56,037 strings in these spaces,
     # the generator runs the beam of _beam_minimum at most this many times,
-    # for a completed cycle in a run of equal lengths or one whose prefix
-    # has a colour map other than the identity (a weaker rejection lets more
-    # prefixes reach it)
-    assert len(beamed) <= 2233
+    # only for a completed cycle in a run of equal lengths, so over at least
+    # two cycles (a weaker rejection lets more prefixes reach it)
+    assert all(len(head) >= 2 for head in beamed)
+    assert len(beamed) <= 812
+
+
+def pairings(positions):
+    """Every split of the positions into unordered pairs, each pair listed
+    at its smaller position, in increasing order."""
+    if not positions:
+        yield []
+        return
+    first, rest = positions[0], positions[1:]
+    for k, partner in enumerate(rest):
+        for others in pairings(rest[:k] + rest[k + 1 :]):
+            yield [(first, partner), *others]
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (3, 4, 5), (3, 3, 6)])
+def test_orderly_generation_at_twelve_edges(shape):
+    # class size 2 at 12 edges, where a cycle after a prefix with colour maps
+    # other than the identity is cut while it fills: the whole space is the
+    # 10,395 pairings of the positions, each read as a string by numbering
+    # its pairs in order of their first position
+    strings = []
+    for pairing in pairings(list(range(12))):
+        string = [0] * 12
+        for colour, (a, b) in enumerate(pairing):
+            string[a] = string[b] = colour
+        strings.append(tuple(string))
+    assert len(set(strings)) == 10395 == hunting._space_size(12, 6, 2, False)
+    expected = sorted(s for s in strings if is_canonical(shape, split(shape, s)))
+    assert list(hunting._orderly_strings(shape, 6, 2, False)) == expected
 
 
 def test_canonical_label_format():
