@@ -29,9 +29,12 @@ class InvalidInstanceError(ValueError):
     """A graph or hypergraph violates one of its structural invariants."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One coloured edge; endpoints are unordered but stored as given."""
+class Edge(NamedTuple):
+    """One coloured edge; endpoints are unordered but stored as given.
+
+    A named triple: it unpacks as ``u, v, colour`` and equals the plain
+    triple of the same values.
+    """
 
     u: int
     v: int

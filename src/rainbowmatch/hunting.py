@@ -25,6 +25,12 @@ cycle is kept, with no separate test.
 tested whole or cut with its prefix; the count comes from a formula
 (:func:`_space_size`), not from a walk.
 
+Each canonical string is examined from the string itself.  The find engine
+runs on its ``(u, v, colour)`` edge triples, valid by construction and so
+not re-validated, and the degree statistics are read off the string.  Only
+a blocked string gets a validated graph, on which the brute-force oracle and
+an independent structure check confirm the find.
+
 The sweep is lazy: work units are generated in sweep order as the hunt
 reaches them, so a hunt stopped by ``stop_after`` costs nothing for the
 shapes it never reaches.
@@ -41,16 +47,9 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import (
-    ColouredMultigraph,
-    build_graph,
-    colour_stats,
-    graph_to_json,
-    is_bipartite,
-    max_degree,
-)
+from .graphs import ColouredMultigraph, build_graph, colour_stats, graph_to_json, is_bipartite
 from .hypergraphs import DegreeStats
-from .solver import DEFAULT_BRUTE_LIMIT, brute_force_full_rainbow, find_full_rainbow_matching
+from .solver import DEFAULT_BRUTE_LIMIT, _search, brute_force_full_rainbow
 
 __all__ = [
     "SearchSpec",
@@ -335,8 +334,17 @@ def _orderly_strings(
     at the slot under each map.  A completed cycle reads only its tied pairs
     round it, and those that read equal give its maps.  Case (a) runs the
     beam of :func:`_beam_minimum` over the run, from the maps kept before it.
+
+    With an exact class size of 1 the space is the one string that names
+    every position afresh, and it is canonical, so it is returned with no
+    test: the maps of a prefix of equal cycles grow with its symmetry group
+    (31,104 of them for four triangles), which that string has in full.
     """
     total = sum(shape)
+    if class_size == 1 and not minimum:
+        if colours == total:
+            yield tuple(range(total))
+        return
     counts = [0] * colours
     current = [0] * total
     # per position: the index of its cycle and where that cycle starts; per
@@ -547,24 +555,30 @@ def _reshape(shape: tuple[int, ...], flat: tuple[int, ...]) -> tuple[tuple[int, 
     return tuple(blocks)
 
 
+def _cycle_endpoints(shape: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The endpoints of the union of cycles' edges, position by position.
+
+    Cycle i occupies a consecutive vertex block; edge j of a length-L cycle
+    joins local vertices j and j+1 mod L.
+    """
+    pairs = []
+    base = 0
+    for length in shape:
+        pairs.extend((base + j, base + (j + 1) % length) for j in range(length))
+        base += length
+    return pairs
+
+
 def graph_from_cycle_colouring(
     shape: tuple[int, ...], flat: tuple[int, ...], colours: int
 ) -> ColouredMultigraph:
     """Build the union-of-cycles graph for a flat colour sequence.
 
-    Cycle i occupies a consecutive vertex block; edge j of a length-L cycle
-    joins local vertices j and j+1 mod L, so edge order follows the colour
-    sequence position by position.
+    The edges are those of :func:`_cycle_endpoints`, so edge order follows
+    the colour sequence position by position.
     """
-    edges = []
-    base = 0
-    position = 0
-    for length in shape:
-        for j in range(length):
-            edges.append((base + j, base + (j + 1) % length, flat[position]))
-            position += 1
-        base += length
-    return build_graph(base, colours, edges)
+    pairs = _cycle_endpoints(shape)
+    return build_graph(sum(shape), colours, [(u, v, c) for (u, v), c in zip(pairs, flat)])
 
 
 def enumerate_colourings(
@@ -597,8 +611,9 @@ def _work_units(spec: SearchSpec) -> Iterator[tuple[tuple[int, ...], int]]:
                 yield shape, k
 
 
-def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph) -> None:
-    # Independent re-validation of every emitted instance.
+def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph, stats: DegreeStats) -> None:
+    # Independent re-validation of every emitted instance, and of the degree
+    # statistics the hunter read off its colour string.
     degree = [0] * graph.vertex_count
     for e in graph.edges:
         degree[e.u] += 1
@@ -607,37 +622,65 @@ def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph) -> None:
         raise RuntimeError("emitted instance is not 2-regular")
     if spec.require_bipartite and not is_bipartite(graph):
         raise RuntimeError("emitted instance is not bipartite")
-    stats = colour_stats(graph)
-    sizes = stats.multiplicities.values()
+    classes = colour_stats(graph)
+    sizes = classes.multiplicities.values()
     if spec.class_size_is_minimum:
         ok = all(s >= spec.colour_class_size for s in sizes)
     else:
         ok = all(s == spec.colour_class_size for s in sizes)
     if not ok:
         raise RuntimeError("emitted instance violates the colour class size constraint")
+    if stats != DegreeStats(classes.minimum, max(degree, default=0)):
+        raise RuntimeError("emitted instance's degree statistics differ from its graph's")
+
+
+def _unit_orbits(
+    spec: SearchSpec, shape: tuple[int, ...], colours: int
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]], DegreeStats]]:
+    """Each orbit of a (shape, colour count) unit as its colour string, its
+    edge triples and its degree statistics, all read off the string.
+
+    The triples are the edges of :func:`graph_from_cycle_colouring`, in the
+    same order, without building the graph.  They are valid by construction:
+    the cycles have at least 3 edges, and every colour of a restricted-growth
+    string with full classes is on some edge.  delta(V1) of the graph's
+    hypergraph is its smallest colour class, which is the class size when
+    that is exact; Delta(V2 u V3) is its largest vertex degree, 2.
+    """
+    class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
+    exact = DegreeStats(class_size, 2)
+    us, vs = zip(*_cycle_endpoints(shape))
+    for flat in _orderly_strings(shape, colours, class_size, minimum):
+        stats = DegreeStats(min(map(flat.count, range(colours))), 2) if minimum else exact
+        yield flat, list(zip(us, vs, flat)), stats
 
 
 def _examine_unit(
     args: tuple[SearchSpec, tuple[int, ...], int, frozenset[str], int],
 ) -> tuple[list[SearchResult], int, int, int]:
+    """Examine every orbit of one (shape, colour count) unit.
+
+    Returns the unit's certified blocked instances, its candidate count, its
+    orbit count and the orbits skipped as already certified.  The find
+    engine runs on each orbit's edge triples, valid by contract (see
+    :func:`_unit_orbits`), and only a blocked orbit gets a graph: a
+    validated :class:`ColouredMultigraph`, on which the brute-force oracle
+    and :func:`_recheck_structure` confirm the block independently.
+    """
     spec, shape, colours, skip_forms, brute_limit = args
     results: list[SearchResult] = []
     orbits = skipped = 0
-    class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
-    for flat in _orderly_strings(shape, colours, class_size, minimum):
-        blocks = _reshape(shape, flat)
+    for flat, triples, stats in _unit_orbits(spec, shape, colours):
         orbits += 1
-        label = canonical_label(shape, blocks)
-        if label in skip_forms:
+        if skip_forms and canonical_label(shape, _reshape(shape, flat)) in skip_forms:
             skipped += 1
             continue
-        graph = graph_from_cycle_colouring(shape, flat, colours)
-        # delta(V1) and Delta(V2 u V3) of the graph's hypergraph
-        stats = DegreeStats(colour_stats(graph).minimum, max_degree(graph))
         if spec.require_delta_gap and stats.delta_v1 <= stats.delta_max_rest:
             continue
-        if find_full_rainbow_matching(graph).matching is not None:
+        if _search(colours, triples, must_pick=True)[0] is not None:
             continue
+        label = canonical_label(shape, _reshape(shape, flat))
+        graph = build_graph(sum(shape), colours, triples)
         outcome, matching_count = brute_force_full_rainbow(graph, brute_limit)
         if matching_count != 0 or outcome.matching is not None:
             raise RuntimeError(f"backtracking and brute force disagree on {label}")
@@ -645,7 +688,7 @@ def _examine_unit(
             # Contradicts the proved 2*Delta degree threshold; a find here
             # means the solver is broken, not that the theorem fell.
             raise RuntimeError(f"blocked instance with delta(V1) >= 2*Delta found: {label}")
-        _recheck_structure(spec, graph)
+        _recheck_structure(spec, graph, stats)
         results.append(
             SearchResult(
                 instance=graph,
@@ -657,7 +700,8 @@ def _examine_unit(
                 canonical_form=label,
             )
         )
-    return results, _space_size(sum(shape), colours, class_size, minimum), orbits, skipped
+    size = _space_size(sum(shape), colours, spec.colour_class_size, spec.class_size_is_minimum)
+    return results, size, orbits, skipped
 
 
 def hunt(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import ColouredMultigraph
 
@@ -52,8 +52,16 @@ class SolveOutcome:
     exhaustive: bool
 
 
-def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[int]], int]:
+def _search(
+    colour_count: int, edges: Iterable[tuple[int, int, int]], must_pick: bool
+) -> tuple[Optional[list[int]], int]:
     """The search engine behind both solvers: depth-first, on an explicit stack.
+
+    ``edges`` are ``(u, v, colour)`` triples, an edge's index being its
+    position; a graph's edges qualify, and so do plain triples.  They are
+    trusted to be valid as :class:`ColouredMultigraph` checks it (no
+    self-loops, every colour below ``colour_count`` on some edge), and are
+    unpacked, never read by attribute or validated here.
 
     Depth d assigns the d-th colour in the static fail-first order (class
     size, colour id); a colour's edges are tried in sequence order.  A state
@@ -96,11 +104,10 @@ def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[i
 
     Returns the chosen edge indices and the number of nodes entered.
     """
-    colour_count = graph.colour_count
-    edges = graph.edges
-    by_colour: list[list[int]] = [[] for _ in range(colour_count)]
-    for index, e in enumerate(edges):
-        by_colour[e.colour].append(index)
+    # per colour: (index, u, v) of its edges, in sequence order
+    by_colour: list[list[tuple[int, int, int]]] = [[] for _ in range(colour_count)]
+    for index, (u, v, colour) in enumerate(edges):
+        by_colour[colour].append((index, u, v))
     order = sorted(range(colour_count), key=lambda c: (len(by_colour[c]), c))
 
     incident: dict[int, int] = {}  # vertex -> the bits of its edges
@@ -111,10 +118,10 @@ def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[i
     shift = 0
     for depth, colour in enumerate(order):
         starts[depth] = shift
-        for index in by_colour[colour]:
-            e, bit = edges[index], 1 << shift
-            incident[e.u] = incident.get(e.u, 0) | bit
-            incident[e.v] = incident.get(e.v, 0) | bit
+        for _, u, v in by_colour[colour]:
+            bit = 1 << shift
+            incident[u] = incident.get(u, 0) | bit
+            incident[v] = incident.get(v, 0) | bit
             shift += 1
         run = len(by_colour[colour])
         widths[depth] = (1 << run) - 1
@@ -130,12 +137,8 @@ def _search(graph: ColouredMultigraph, must_pick: bool) -> tuple[Optional[list[i
     # per edge: (index, its vertices, the edges it blocks)
     layers = [
         [
-            (
-                index,
-                vertex_bit[edges[index].u] | vertex_bit[edges[index].v],
-                incident[edges[index].u] | incident[edges[index].v],
-            )
-            for index in by_colour[colour]
+            (index, vertex_bit[u] | vertex_bit[v], incident[u] | incident[v])
+            for index, u, v in by_colour[colour]
         ]
         for colour in order
     ]
@@ -220,7 +223,7 @@ def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
     ``nodes_explored`` counts the search nodes entered; states skipped as
     already refuted are not nodes.
     """
-    matching, nodes = _search(graph, must_pick=True)
+    matching, nodes = _search(graph.colour_count, graph.edges, must_pick=True)
     return SolveOutcome(
         matching=None if matching is None else frozenset(matching),
         nodes_explored=nodes,
@@ -238,7 +241,7 @@ def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]
     have a free edge, which can never be exceeded below that node.  The
     witness is deterministic: the first maximum-size set in search order.
     """
-    best, _ = _search(graph, must_pick=False)
+    best, _ = _search(graph.colour_count, graph.edges, must_pick=False)
     return len(best), frozenset(best)
 
 

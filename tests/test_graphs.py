@@ -1,9 +1,12 @@
 from collections import Counter
+import json
+import pickle
 import random
 
 import pytest
 
 from rainbowmatch import (
+    Edge,
     InvalidInstanceError,
     bipartition,
     build_graph,
@@ -182,6 +185,34 @@ def test_json_round_trip_random():
     for _ in range(50):
         g = random_graph(rng)
         assert graph_from_json(graph_to_json(g)) == g
+
+
+def test_edge_is_an_immutable_named_triple():
+    edge = Edge(0, 1, 2)
+    assert Edge._fields == ("u", "v", "colour")
+    assert (edge.u, edge.v, edge.colour) == (0, 1, 2)
+    u, v, colour = edge
+    assert (u, v, colour) == (0, 1, 2)
+    with pytest.raises(AttributeError):
+        edge.u = 5
+    assert build_graph(2, 1, [(0, 1, 0)]).edges == (Edge(0, 1, 0),)
+
+
+def test_graph_survives_pickling():
+    # the hunt's worker pool ships graphs between processes
+    rng = random.Random(903)
+    for _ in range(20):
+        g = random_graph(rng)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g
+        assert all(type(e) is Edge for e in back.edges)
+
+
+def test_json_round_trip_keeps_bytes():
+    rng = random.Random(904)
+    for _ in range(50):
+        text = json.dumps(graph_to_json(random_graph(rng)))
+        assert json.dumps(graph_to_json(graph_from_json(json.loads(text)))) == text
 
 
 def test_json_rejects_malformed():

@@ -23,6 +23,8 @@ from rainbowmatch import (
 )
 from rainbowmatch import hunting
 from rainbowmatch.hunting import read_certified_forms, result_record, summary_record
+from rainbowmatch.hypergraphs import DegreeStats
+from rainbowmatch.solver import DEFAULT_BRUTE_LIMIT
 
 
 def test_shapes_bipartite_to_eight():
@@ -563,3 +565,84 @@ def test_graph_from_cycle_colouring_layout():
     assert [(e.u, e.v) for e in g.edges[:4]] == [(0, 1), (1, 2), (2, 3), (3, 0)]
     assert [(e.u, e.v) for e in g.edges[4:]] == [(4, 5), (5, 6), (6, 7), (7, 4)]
     assert [e.colour for e in g.edges] == [0, 1, 0, 1, 2, 3, 2, 3]
+
+
+def test_class_size_one_unit_keeps_no_colour_maps():
+    # four triangles have 6^4 * 4! = 31,104 symmetries, all fixing the one
+    # string; the unit needs none of them
+    spec = SearchSpec(max_edges=12, colour_class_size=1)
+    tracemalloc.start()
+    try:
+        found, _, orbits, _ = hunting._examine_unit(
+            (spec, (3, 3, 3, 3), 12, frozenset(), DEFAULT_BRUTE_LIMIT)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orbits == len(found) == 1
+    assert peak < 5 * 2**20
+
+
+def test_class_size_one_string_is_canonical():
+    rng = random.Random(1101)
+    for shape in enumerate_two_regular_shapes(9, False):
+        total = sum(shape)
+        scrambled = rng.sample(range(total), total)
+        expected = canonical_colouring(shape, hunting._reshape(shape, tuple(scrambled)))
+        strings = list(hunting._orderly_strings(shape, total, 1, False))
+        assert [hunting._reshape(shape, flat) for flat in strings] == [expected]
+        assert list(hunting._orderly_strings(shape, total - 1, 1, False)) == []
+
+
+def test_hunt_class_size_one_blocks_every_shape():
+    # adjacent edges of a cycle share a vertex, so one edge per colour is
+    # never a matching
+    outcome = hunt(SearchSpec(max_edges=15, colour_class_size=1))
+    shapes = enumerate_two_regular_shapes(15, False)
+    assert [r.shape for r in outcome.results] == shapes
+    assert outcome.orbits_examined == len(shapes)
+    assert outcome.exhausted
+    for result in outcome.results:
+        assert result.certificate.combinations == 1
+        assert result.certificate.matchings == 0
+        assert result.stats == DegreeStats(1, 2)
+
+
+def test_engine_and_brute_force_disagreement_is_caught(monkeypatch):
+    # an engine that calls every orbit blocked is wrong on 4:0,0,1,1, whose
+    # opposite edges are a full rainbow matching
+    monkeypatch.setattr(hunting, "_search", lambda *args, **kwargs: (None, 1))
+    spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
+    with pytest.raises(RuntimeError, match="backtracking and brute force disagree on 4:0,0,1,1"):
+        hunting._examine_unit((spec, (4,), 2, frozenset(), DEFAULT_BRUTE_LIMIT))
+
+
+def test_recheck_structure_compares_degree_statistics():
+    spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
+    graph = graph_from_cycle_colouring((4,), (0, 1, 0, 1), 2)
+    hunting._recheck_structure(spec, graph, DegreeStats(2, 2))
+    for stats in (DegreeStats(1, 2), DegreeStats(2, 3), DegreeStats(3, 2)):
+        with pytest.raises(RuntimeError, match="degree statistics"):
+            hunting._recheck_structure(spec, graph, stats)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(max_edges=12, colour_class_size=2),
+        SearchSpec(max_edges=12, colour_class_size=3),
+        SearchSpec(max_edges=9, colour_class_size=2, class_size_is_minimum=True),
+    ],
+    ids=["exact-2", "exact-3", "minimum-2"],
+)
+def test_orbit_triples_and_statistics_match_the_graph(spec):
+    # what the engine and the gap filter read off each colour string is what
+    # the string's graph holds
+    orbits = 0
+    for shape, colours in hunting._work_units(spec):
+        for flat, triples, stats in hunting._unit_orbits(spec, shape, colours):
+            graph = graph_from_cycle_colouring(shape, flat, colours)
+            assert tuple(triples) == graph.edges
+            assert stats == DegreeStats(colour_stats(graph).minimum, max_degree(graph))
+            orbits += 1
+    assert orbits == hunt(spec).orbits_examined

@@ -231,7 +231,8 @@ def test_larger_random_graph_witnesses():
 
 
 def _nodes(graph):
-    return find_full_rainbow_matching(graph).nodes_explored, solver._search(graph, False)[1]
+    max_nodes = solver._search(graph.colour_count, graph.edges, False)[1]
+    return find_full_rainbow_matching(graph).nodes_explored, max_nodes
 
 
 @pytest.mark.parametrize("order, seed", sorted(LATIN_NODES))
