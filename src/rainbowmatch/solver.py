@@ -53,7 +53,10 @@ class SolveOutcome:
 
 
 def _search(
-    colour_count: int, edges: Iterable[tuple[int, int, int]], must_pick: bool
+    colour_count: int,
+    edges: Iterable[tuple[int, int, int]],
+    must_pick: bool,
+    cap: Optional[int] = None,
 ) -> tuple[Optional[list[int]], int]:
     """The search engine behind both solvers: depth-first, on an explicit stack.
 
@@ -76,6 +79,10 @@ def _search(
     its edges, and a child is entered only when its chosen count plus the
     number of later colours that still have a free edge exceeds the best
     size so far; the result is the first maximum-size set in search order.
+    Max mode stops at the first set of ``cap`` edges (default: one per
+    colour), so ``cap`` must be an upper bound on the maximum for that set to
+    be the uncapped result: the search is the same up to that set, and the
+    uncapped one would keep it, replacing the best set only by a larger one.
 
     Both rules read one integer per state, the set of free edges.  Each
     colour owns a run of bits, one per edge, followed by a guard bit that no
@@ -149,6 +156,8 @@ def _search(
     tags = [depth << len(vertex_bit) for depth in range(colour_count + 1)]
     del incident, vertex_bit  # the search needs neither; freeing them lowers the peak
 
+    if cap is None:
+        cap = colour_count
     refuted: set[int] = set()
     occupied = [0] * (colour_count + 1)
     free_edges = [all_edges] * (colour_count + 1)
@@ -194,7 +203,7 @@ def _search(
                 best = [p for p in picked[:depth] if p >= 0]
                 if index >= 0:
                     best.append(index)
-                if size == colour_count:
+                if size == cap:
                     return best, nodes
             if size + open_later.bit_count() > len(best):
                 sizes[child_depth] = size
@@ -234,14 +243,27 @@ def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
 def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]]:
     """Largest set of pairwise-disjoint edges with pairwise-distinct colours.
 
-    Branch and bound over the same static colour order as
-    :func:`find_full_rainbow_matching`; each colour is either represented by
-    one of its free edges (tried in sequence order) or skipped.  The bound at
+    The engine runs in find mode first: a full rainbow matching is a maximum
+    one.  Otherwise n - 1 edges, for n colours, is a proved upper bound, and
+    a branch and bound over the same static colour order follows, stopping
+    at its first set of n - 1 edges.  Each colour is either represented by
+    one of its free edges (tried in sequence order) or skipped; the bound at
     a node is the selected count plus the number of later colours that still
-    have a free edge, which can never be exceeded below that node.  The
-    witness is deterministic: the first maximum-size set in search order.
+    have a free edge, which can never be exceeded below that node.
+
+    The witness is deterministic: the first maximum-size set in the branch
+    and bound's search order, as if it ran uncapped.  The bound cuts no
+    subtree that holds a set larger than the best so far, and a full set
+    skips no colour, so the first full set in that order is the first one
+    in find mode's order, which differs only in trying no skips.  With no
+    full set, the uncapped search would keep its first set of n - 1 edges,
+    since it replaces the best set only by a strictly larger one.
     """
-    best, _ = _search(graph.colour_count, graph.edges, must_pick=False)
+    n = graph.colour_count
+    full, _ = _search(n, graph.edges, must_pick=True)
+    if full is not None:
+        return n, frozenset(full)
+    best, _ = _search(n, graph.edges, must_pick=False, cap=n - 1)
     return len(best), frozenset(best)
 
 

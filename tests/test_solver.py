@@ -11,6 +11,7 @@ from rainbowmatch import (
     find_full_rainbow_matching,
     is_full_rainbow,
     max_rainbow_matching,
+    solver,
     verify_matching,
 )
 from conftest import (
@@ -231,3 +232,116 @@ def test_brute_force_masks_ignore_vertex_ids():
     assert count == 1
     assert outcome.matching == frozenset({0})
     assert peak < 1_000_000
+
+
+def _uncapped(graph):
+    best = solver._search(graph.colour_count, graph.edges, False)[0]
+    return len(best), frozenset(best)
+
+
+def test_max_mode_agrees_with_the_uncapped_engine():
+    # find mode first, then a branch and bound capped at n - 1, must give the
+    # size and the witness of one uncapped branch and bound
+    rng = random.Random(2047)
+    gaps = set()
+    for _ in range(3000):
+        g = random_graph(
+            rng,
+            max_vertices=rng.choice((8, 12)),
+            max_colours=rng.choice((5, 10)),
+            max_edges=rng.choice((12, 24)),
+        )
+        expected = _uncapped(g)
+        assert max_rainbow_matching(g) == expected
+        if g.colour_count <= 5 and len(g.edges) <= 12:
+            assert expected[0] == max_rainbow_by_enumeration(g)
+        gaps.add(min(g.colour_count - expected[0], 4))
+    assert gaps == {0, 1, 2, 3, 4}
+    for order in range(1, 11):
+        for seed in (0, 1, 2):
+            g = latin_square(order, seed)
+            expected = _uncapped(g)
+            assert max_rainbow_matching(g) == expected
+            if order <= 5:
+                assert expected[0] == max_rainbow_by_enumeration(g)
+
+
+def test_max_mode_agrees_with_the_uncapped_engine_on_drawn_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, 8))
+        k = draw(st.integers(1, 6))
+
+        def edge(colour):
+            u = draw(st.integers(0, n - 1))
+            v = draw(st.integers(0, n - 2))
+            return u, v + (v >= u), colour
+
+        edges = [edge(c) for c in range(k)]
+        edges += [edge(draw(st.integers(0, k - 1))) for _ in range(draw(st.integers(0, 8)))]
+        return build_graph(n, k, edges)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(graphs())
+    def check(g):
+        expected = _uncapped(g)
+        assert max_rainbow_matching(g) == expected
+        assert expected[0] == max_rainbow_by_enumeration(g)
+
+    check()
+
+
+# nodes of every engine call max mode makes: the find pass, then the capped
+# branch and bound; one uncapped branch and bound enters 29,711 at order 10,
+# seed 0
+MAX_MODE_NODES = {
+    (8, 0): [873, 9],
+    (10, 0): [11_271, 20],
+    (10, 1): [11_821, 11],
+    (10, 2): [11_346, 10],
+    (12, 0): [146_805, 57],
+}
+
+
+@pytest.fixture
+def engine_nodes(monkeypatch):
+    """The node count of every engine call made while the test runs."""
+    nodes = []
+    search = solver._search
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        nodes.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver, "_search", counted)
+    return nodes
+
+
+@pytest.mark.parametrize("order, seed", sorted(MAX_MODE_NODES))
+def test_max_mode_node_budget(engine_nodes, order, seed):
+    size, _ = max_rainbow_matching(latin_square(order, seed))
+    assert size == order - 1
+    assert engine_nodes == MAX_MODE_NODES[order, seed]
+
+
+def test_cap_stops_max_mode_at_its_first_set_of_that_size():
+    # five disjoint one-edge colours: uncapped, the search takes all five
+    edges = [(2 * i, 2 * i + 1, i) for i in range(5)]
+    assert solver._search(5, edges, False) == ([0, 1, 2, 3, 4], 6)
+    assert solver._search(5, edges, False, cap=2) == ([0, 1], 3)
+    # the order-10 square: its first set of 9 edges is the uncapped witness
+    g = latin_square(10, 0)
+    best, nodes = solver._search(10, g.edges, False, cap=9)
+    assert (len(best), frozenset(best)) == _uncapped(g)
+    assert nodes == 20
+
+
+def test_max_rainbow_of_no_colours_is_empty(engine_nodes):
+    for vertices in (0, 4):
+        assert max_rainbow_matching(build_graph(vertices, 0, [])) == (0, frozenset())
+    # the find pass answers: the empty matching is full
+    assert engine_nodes == [1, 1]
