@@ -26,10 +26,12 @@ tested whole or cut with its prefix; the count comes from a formula
 (:func:`_space_size`), not from a walk.
 
 Each canonical string is examined from the string itself.  The find engine
-runs on its ``(u, v, colour)`` edge triples, valid by construction and so
-not re-validated, and the degree statistics are read off the string.  Only
-a blocked string gets a validated graph, on which the brute-force oracle and
-an independent structure check confirm the find.
+walks tables read off the string with a plan fixed per work unit (the
+packed vertex value and cycle neighbours of each position, and the bit
+layout per class-size profile), valid by construction and so not
+re-validated, and the degree statistics are read off the string too.  Only
+a blocked string gets edge triples and a validated graph, on which the
+brute-force oracle and an independent structure check confirm the find.
 
 The sweep is lazy: work units are generated in sweep order as the hunt
 reaches them, so a hunt stopped by ``stop_after`` costs nothing for the
@@ -45,11 +47,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import ColouredMultigraph, build_graph, colour_stats, graph_to_json, is_bipartite
 from .hypergraphs import DegreeStats
-from .solver import DEFAULT_BRUTE_LIMIT, _search, brute_force_full_rainbow
+from .solver import DEFAULT_BRUTE_LIMIT, _layout, _walk, brute_force_full_rainbow
 
 __all__ = [
     "SearchSpec",
@@ -634,25 +636,73 @@ def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph, stats: Degre
         raise RuntimeError("emitted instance's degree statistics differ from its graph's")
 
 
-def _unit_orbits(
+def _unit_plan(
     spec: SearchSpec, shape: tuple[int, ...], colours: int
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]], DegreeStats]]:
-    """Each orbit of a (shape, colour count) unit as its colour string, its
-    edge triples and its degree statistics, all read off the string.
+) -> Callable[[tuple[int, ...]], tuple[tuple, DegreeStats]]:
+    """A reader of a (shape, colour count) unit's colour strings: it returns
+    an orbit's find-engine tables and degree statistics, read off its string.
 
-    The triples are the edges of :func:`graph_from_cycle_colouring`, in the
-    same order, without building the graph.  They are valid by construction:
-    the cycles have at least 3 edges, and every colour of a restricted-growth
-    string with full classes is on some edge.  delta(V1) of the graph's
-    hypergraph is its smallest colour class, which is the class size when
-    that is exact; Delta(V2 u V3) is its largest vertex degree, 2.
+    The tables are those of :func:`solver._tables` for the graph of
+    :func:`graph_from_cycle_colouring`, up to a relabelling of the vertices,
+    built without the graph or its edge triples.  The unit fixes all but the
+    colour string: hunt vertices are dense (``0..total-1``, none isolated),
+    so their raw ids serve as the vertex bits, and an edge blocks itself and
+    the edges before and after it in its cycle, since those are the edges at
+    its two vertices.  So the plan holds each position's packed vertex value
+    and its cycle neighbours, and the bit layout (starts, widths, guards,
+    ``every``) is cached per class-size profile.  An orbit then needs its
+    colour order, (class size, colour id), and its edges' bits in that
+    layout, a colour's edges in position order.  The string is valid by
+    construction: the cycles have at least 3 edges, and every colour of a
+    restricted-growth string with full classes is on some edge.  delta(V1)
+    of the graph's hypergraph is its smallest colour class, which is the
+    class size when that is exact; Delta(V2 u V3) is its largest vertex
+    degree, 2.
     """
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
+    k = colours.bit_length()
+    # per position: its packed vertex value, and the positions before and
+    # after it in its cycle
+    values = [(((1 << u) | (1 << v)) << k) + 1 for u, v in _cycle_endpoints(shape)]
+    around = []
+    base = 0
+    for length in shape:
+        around.extend((base + (j - 1) % length, base + (j + 1) % length) for j in range(length))
+        base += length
+    plan = list(zip(range(base), values, around))
+    layouts: dict[tuple[int, ...], tuple[list[int], list[int], list[int], int]] = {}
+    depth_of = list(range(colours))
     exact = DegreeStats(class_size, 2)
-    us, vs = zip(*_cycle_endpoints(shape))
-    for flat in _orderly_strings(shape, colours, class_size, minimum):
-        stats = DegreeStats(min(map(flat.count, range(colours))), 2) if minimum else exact
-        yield flat, list(zip(us, vs, flat)), stats
+
+    def read(flat: tuple[int, ...]) -> tuple[tuple, DegreeStats]:
+        if minimum:
+            counts = [0] * colours
+            for colour in flat:
+                counts[colour] += 1
+            order = sorted(range(colours), key=counts.__getitem__)  # stable: ties by colour id
+            for depth, colour in enumerate(order):
+                depth_of[colour] = depth
+            profile = tuple(map(counts.__getitem__, order))
+            stats = DegreeStats(profile[0], 2)
+        else:
+            profile = (class_size,) * colours
+            stats = exact
+        layout = layouts.get(profile)
+        if layout is None:
+            layout = layouts[profile] = _layout(profile)
+        starts, widths, guards, every = layout
+        shifts = [starts[depth] for depth in depth_of]
+        bits = []
+        for colour in flat:
+            bits.append(1 << shifts[colour])
+            shifts[colour] += 1
+        layers: list[list[tuple[int, int, int]]] = [[] for _ in range(colours)]
+        for (position, value, (before, after)), colour in zip(plan, flat):
+            blocks = bits[before] | bits[position] | bits[after]
+            layers[depth_of[colour]].append((position, value, every ^ blocks))
+        return (layers, starts, widths, guards, every), stats
+
+    return read
 
 
 def _examine_unit(
@@ -662,25 +712,29 @@ def _examine_unit(
 
     Returns the unit's certified blocked instances, its candidate count, its
     orbit count and the orbits skipped as already certified.  The find
-    engine runs on each orbit's edge triples, valid by contract (see
-    :func:`_unit_orbits`), and only a blocked orbit gets a graph: a
-    validated :class:`ColouredMultigraph`, on which the brute-force oracle
-    and :func:`_recheck_structure` confirm the block independently.
+    engine walks each orbit's tables, read off its colour string by the
+    unit's :func:`_unit_plan`, and only a blocked orbit gets edge triples and
+    a graph: a validated :class:`ColouredMultigraph`, on which the
+    brute-force oracle and :func:`_recheck_structure` confirm the block
+    independently.
     """
     spec, shape, colours, skip_forms, brute_limit = args
+    class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
+    read = _unit_plan(spec, shape, colours)
     results: list[SearchResult] = []
     orbits = skipped = 0
-    for flat, triples, stats in _unit_orbits(spec, shape, colours):
+    for flat in _orderly_strings(shape, colours, class_size, minimum):
+        tables, stats = read(flat)
         orbits += 1
         if skip_forms and canonical_label(shape, _reshape(shape, flat)) in skip_forms:
             skipped += 1
             continue
         if spec.require_delta_gap and stats.delta_v1 <= stats.delta_max_rest:
             continue
-        if _search(colours, triples, must_pick=True)[0] is not None:
+        if _walk(tables, must_pick=True)[0] is not None:
             continue
         label = canonical_label(shape, _reshape(shape, flat))
-        graph = build_graph(sum(shape), colours, triples)
+        graph = graph_from_cycle_colouring(shape, flat, colours)
         outcome, matching_count = brute_force_full_rainbow(graph, brute_limit)
         if matching_count != 0 or outcome.matching is not None:
             raise RuntimeError(f"backtracking and brute force disagree on {label}")
@@ -700,7 +754,7 @@ def _examine_unit(
                 canonical_form=label,
             )
         )
-    size = _space_size(sum(shape), colours, spec.colour_class_size, spec.class_size_is_minimum)
+    size = _space_size(sum(shape), colours, class_size, minimum)
     return results, size, orbits, skipped
 
 
@@ -717,11 +771,14 @@ def hunt(
     the space is split into (shape, colour count) work units processed or
     merged in that fixed order, and ``stop_after`` cuts at unit boundaries.
     Forms in ``skip_forms`` (from a previous run's records) are not re-solved.
+    Raises ValueError when ``jobs`` is below 1.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     frozen_skip = frozenset(skip_forms or ())
     units = _work_units(spec)
     # a worker beyond one per unit would have nothing to do
-    first = list(itertools.islice(units, max(jobs, 1)))
+    first = list(itertools.islice(units, jobs))
     payloads = ((spec, *unit, frozen_skip, brute_limit) for unit in itertools.chain(first, units))
 
     results: list[SearchResult] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import ColouredMultigraph
 
@@ -52,13 +52,33 @@ class SolveOutcome:
     exhaustive: bool
 
 
-def _search(
-    colour_count: int,
-    edges: Iterable[tuple[int, int, int]],
-    must_pick: bool,
-    cap: Optional[int] = None,
-) -> tuple[Optional[list[int]], int]:
-    """The search engine behind both solvers: depth-first, on an explicit stack.
+def _layout(sizes: Sequence[int]) -> tuple[list[int], list[int], list[int], int]:
+    """The bit layout of the engine's free-edge mask, for colours of the
+    given class sizes in depth order.
+
+    Each colour owns a run of bits, one per edge, followed by a guard bit
+    that no edge uses.  Returns, per depth, the first bit of its colour's
+    run and the run's width as a mask of that many ones; per depth d, the
+    guard bits of the colours at depths d and later, with one more entry, 0,
+    for the depth past the last; and ``every``, the mask of every bit of the
+    layout, runs and guards alike.
+    """
+    starts: list[int] = []
+    shift = 0
+    every_guard = 0
+    for size in sizes:
+        starts.append(shift)
+        shift += size
+        every_guard |= 1 << shift
+        shift += 1
+    # the guard bits from each run's start up
+    guards = [every_guard >> start << start for start in starts]
+    guards.append(0)
+    return starts, [(1 << size) - 1 for size in sizes], guards, (1 << shift) - 1
+
+
+def _tables(colour_count: int, edges: Iterable[tuple[int, int, int]], must_pick: bool) -> tuple:
+    """The engine's set-up: what :func:`_walk` reads, built once per instance.
 
     ``edges`` are ``(u, v, colour)`` triples, an edge's index being its
     position; a graph's edges qualify, and so do plain triples.  They are
@@ -67,29 +87,79 @@ def _search(
     unpacked, never read by attribute or validated here.
 
     Depth d assigns the d-th colour in the static fail-first order (class
-    size, colour id); a colour's edges are tried in sequence order.  A state
-    is the set of occupied vertices, as a bitmask over the vertices that
-    carry an edge (relabelled densely, so isolated vertices cost nothing),
-    together with the depth.
+    size, colour id); a colour's edges are in sequence order.  Returns
+    ``(layers, starts, widths, guards, every)``: the :func:`_layout` of the
+    colours in that order, and per depth one item per edge of its colour,
+    ``(index, vertices, keep)``.  Without ``must_pick`` each layer ends with
+    one more item, the skip ``(-1, 1, every)``, which max mode tries after
+    the edges; find mode never reads it, so these tables serve both modes.
+
+    A state, the set of occupied vertices with its depth, is packed into one
+    integer: the depth in the low ``k = colour_count.bit_length()`` bits and
+    the vertex bits above them (the vertices that carry an edge, relabelled
+    densely, so isolated vertices cost nothing).  An item's ``vertices`` is
+    its two vertex bits shifted up by ``k``, plus 1, so a child's key is its
+    parent's plus that value: the edge is free, so neither vertex is
+    occupied and the addition sets two new bits with no carry, and the depth
+    never exceeds ``colour_count``, which is below ``2**k``.  Keys therefore
+    stand one-to-one for states.  ``keep`` is ``every`` without the bits of
+    the edges this one blocks (itself and those sharing a vertex with it),
+    so a child's free edges are its parent's ANDed with it.
+    """
+    # per colour: (index, u, v) of its edges, in sequence order
+    by_colour: list[list[tuple[int, int, int]]] = [[] for _ in range(colour_count)]
+    for index, (u, v, colour) in enumerate(edges):
+        by_colour[colour].append((index, u, v))
+    order = sorted(range(colour_count), key=lambda c: (len(by_colour[c]), c))
+    starts, widths, guards, every = _layout([len(by_colour[c]) for c in order])
+
+    incident: dict[int, int] = {}  # vertex -> the bits of its edges
+    for colour, start in zip(order, starts):
+        for shift, (_, u, v) in enumerate(by_colour[colour], start):
+            bit = 1 << shift
+            incident[u] = incident.get(u, 0) | bit
+            incident[v] = incident.get(v, 0) | bit
+    k = colour_count.bit_length()
+    vertex_bit = {x: 1 << i for i, x in enumerate(incident, k)}
+    layers = [
+        [
+            (index, vertex_bit[u] + vertex_bit[v] + 1, every ^ (incident[u] | incident[v]))
+            for index, u, v in by_colour[colour]
+        ]
+        for colour in order
+    ]
+    if not must_pick:
+        # skipping a colour is one more child: it occupies and blocks nothing
+        for layer in layers:
+            layer.append((-1, 1, every))
+    return layers, starts, widths, guards, every
+
+
+def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Optional[list[int]], int]:
+    """The search engine behind both solvers: depth-first, on an explicit
+    stack, over the :func:`_tables` of an instance (or tables built the same
+    way, as the hunter builds them from a colour string).
 
     With ``must_pick`` (find mode) every colour takes one free edge, and a
     child is entered only when every later colour still has a free edge; the
     result is the first full rainbow matching in search order, or None.
-    Without it (max mode) a colour may also be skipped, which is tried after
-    its edges, and a child is entered only when its chosen count plus the
-    number of later colours that still have a free edge exceeds the best
-    size so far; the result is the first maximum-size set in search order.
-    Max mode stops at the first set of ``cap`` edges (default: one per
-    colour), so ``cap`` must be an upper bound on the maximum for that set to
-    be the uncapped result: the search is the same up to that set, and the
-    uncapped one would keep it, replacing the best set only by a larger one.
+    Without it (max mode, on tables built without ``must_pick``) a colour
+    may also be skipped, which is tried after its edges, and a child is
+    entered only when its chosen count plus the number of later colours that
+    still have a free edge exceeds the best size so far; the result is the
+    first maximum-size set in search order.  Max mode stops at the first set
+    of ``cap`` edges (default: one per colour), so ``cap`` must be an upper
+    bound on the maximum for that set to be the uncapped result: the search
+    is the same up to that set, and the uncapped one would keep it,
+    replacing the best set only by a larger one.
 
-    Both rules read one integer per state, the set of free edges.  Each
-    colour owns a run of bits, one per edge, followed by a guard bit that no
-    edge uses.  Adding the set of all edges to the set of free edges turns
-    each run into all ones plus its free edges, which carries into the
-    guard bit exactly when the colour has a free edge and never beyond it,
-    so one addition answers the rule for every colour at once.
+    Both rules read one integer per state, the set of free edges.  Adding
+    the set of all edges to it turns each colour's run into all ones plus
+    its free edges, which carries into the guard bit exactly when the colour
+    has a free edge and never beyond it, so one addition answers the rule
+    for every colour at once.  A child's free edges are its parent's ANDed
+    with the edge's keep mask; the parent's lie inside ``every``, so that is
+    the parent's set without the edges the new one blocks.
 
     The same integer gives each depth its candidates.  An edge's bit is free
     exactly when neither of its vertices is occupied, so shifting the set of
@@ -97,65 +167,24 @@ def _search(
     run's width leaves exactly the edges that can be taken; bit i stands for
     the colour's i-th edge.  In max mode the skip is the bit above the run,
     which is otherwise the guard and never free, so it is always pending
-    and, as the highest bit, tried last.  Each depth keeps its untried
-    children as such a mask and takes the lowest set bit next, so occupied
-    edges are never visited.
+    and, as the highest bit, tried last; find mode leaves it out.  Each
+    depth keeps its untried children as such a mask and takes the lowest set
+    bit next, so occupied edges are never visited.
 
     Every state whose subtree is exhausted goes into a set of refuted states,
-    and no state in it is entered again.  In find mode its subtree holds no
-    witness.  In max mode every edge covers two vertices (self-loops are
-    rejected), so the occupied mask fixes the chosen count, and the subtree
-    cannot beat the best size, which has only grown since; the best set is
-    replaced only by a strictly larger one.  Either way the result is the one
-    the search without the set returns.
+    keyed by its packed integer, and no state in it is entered again.  In
+    find mode its subtree holds no witness.  In max mode every edge covers
+    two vertices (self-loops are rejected), so the occupied set fixes the
+    chosen count, and the subtree cannot beat the best size, which has only
+    grown since; the best set is replaced only by a strictly larger one.
+    Either way the result is the one the search without the set returns.
 
     Returns the chosen edge indices and the number of nodes entered.
     """
-    # per colour: (index, u, v) of its edges, in sequence order
-    by_colour: list[list[tuple[int, int, int]]] = [[] for _ in range(colour_count)]
-    for index, (u, v, colour) in enumerate(edges):
-        by_colour[colour].append((index, u, v))
-    order = sorted(range(colour_count), key=lambda c: (len(by_colour[c]), c))
-
-    incident: dict[int, int] = {}  # vertex -> the bits of its edges
-    guards = [0] * (colour_count + 1)  # guard bits of the colours at depths >= d
-    starts = [0] * (colour_count + 1)  # first bit of the run of the colour at depth d
-    widths = [0] * (colour_count + 1)  # one bit per edge of that colour
-    skips = [0] * (colour_count + 1)  # in max mode, the bit above the run
-    shift = 0
-    for depth, colour in enumerate(order):
-        starts[depth] = shift
-        for _, u, v in by_colour[colour]:
-            bit = 1 << shift
-            incident[u] = incident.get(u, 0) | bit
-            incident[v] = incident.get(v, 0) | bit
-            shift += 1
-        run = len(by_colour[colour])
-        widths[depth] = (1 << run) - 1
-        if not must_pick:
-            skips[depth] = 1 << run
-        guards[depth] = 1 << shift
-        shift += 1
-    for depth in range(colour_count - 1, -1, -1):
-        guards[depth] |= guards[depth + 1]
-    all_edges = ((1 << shift) - 1) ^ guards[0]
-
-    vertex_bit = {x: 1 << i for i, x in enumerate(incident)}
-    # per edge: (index, its vertices, the edges it blocks)
-    layers = [
-        [
-            (index, vertex_bit[u] | vertex_bit[v], incident[u] | incident[v])
-            for index, u, v in by_colour[colour]
-        ]
-        for colour in order
-    ]
-    if not must_pick:
-        # skipping a colour is one more child: it occupies and blocks nothing
-        layers = [layer + [(-1, 0, 0)] for layer in layers]
-    # a state (occupied, depth) is packed into the integer occupied | tags[depth]
-    tags = [depth << len(vertex_bit) for depth in range(colour_count + 1)]
-    del incident, vertex_bit  # the search needs neither; freeing them lowers the peak
-
+    layers, starts, widths, guards, every = tables
+    colour_count = len(layers)
+    all_edges = every ^ guards[0]
+    skips = [0] * colour_count if must_pick else [width + 1 for width in widths]
     if cap is None:
         cap = colour_count
     refuted: set[int] = set()
@@ -175,18 +204,17 @@ def _search(
         occ = occupied[depth]
         free = free_edges[depth]
         child_depth = depth + 1
-        tag = tags[child_depth]
         later = guards[child_depth]
         layer = layers[depth]
         rest = pending[depth]
         while rest:
             low = rest & -rest
             rest ^= low
-            index, vertices, blocks = layer[low.bit_length() - 1]
-            child = occ | vertices
-            if child | tag in refuted:
+            index, vertices, keep = layer[low.bit_length() - 1]
+            child = occ + vertices
+            if child in refuted:
                 continue
-            child_free = free & ~blocks
+            child_free = free & keep
             # guard bits of the later colours that still have a free edge
             open_later = (child_free + all_edges) & later
             if must_pick:
@@ -209,7 +237,7 @@ def _search(
                 sizes[child_depth] = size
                 break
         else:
-            refuted.add(occ | tags[depth])
+            refuted.add(occ)
             depth -= 1
             continue
         pending[depth] = rest
@@ -221,6 +249,16 @@ def _search(
         ) | skips[child_depth]
         depth = child_depth
     return (None if must_pick else best), nodes
+
+
+def _search(
+    colour_count: int,
+    edges: Iterable[tuple[int, int, int]],
+    must_pick: bool,
+    cap: Optional[int] = None,
+) -> tuple[Optional[list[int]], int]:
+    """One engine call: :func:`_walk` over the :func:`_tables` of ``edges``."""
+    return _walk(_tables(colour_count, edges, must_pick), must_pick, cap)
 
 
 def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
@@ -260,10 +298,11 @@ def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]
     since it replaces the best set only by a strictly larger one.
     """
     n = graph.colour_count
-    full, _ = _search(n, graph.edges, must_pick=True)
+    tables = _tables(n, graph.edges, must_pick=False)
+    full, _ = _walk(tables, must_pick=True)
     if full is not None:
         return n, frozenset(full)
-    best, _ = _search(n, graph.edges, must_pick=False, cap=n - 1)
+    best, _ = _walk(tables, must_pick=False, cap=n - 1)
     return len(best), frozenset(best)
 
 

@@ -466,6 +466,12 @@ def test_unexpected_error_ends_with_one_line(capsys, monkeypatch):
     assert err == "error: RuntimeError: first line second line\n"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_hunt_rejects_fewer_than_one_job(capsys, jobs):
+    code, out, err = run_cli(capsys, "hunt", "--class-size", "2", "--max-edges", "4", "--jobs", jobs)
+    assert (code, out, err) == (1, "", "error: jobs must be at least 1\n")
+
+
 def test_hunt_jobs_byte_identical(capsys):
     argv = ["hunt", "--bipartite", "--class-size", "2", "--max-edges", "8"]
     code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")

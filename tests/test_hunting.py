@@ -21,7 +21,7 @@ from rainbowmatch import (
     is_canonical,
     max_degree,
 )
-from rainbowmatch import hunting
+from rainbowmatch import hunting, solver
 from rainbowmatch.hunting import read_certified_forms, result_record, summary_record
 from rainbowmatch.hypergraphs import DegreeStats
 from rainbowmatch.solver import DEFAULT_BRUTE_LIMIT
@@ -611,7 +611,7 @@ def test_hunt_class_size_one_blocks_every_shape():
 def test_engine_and_brute_force_disagreement_is_caught(monkeypatch):
     # an engine that calls every orbit blocked is wrong on 4:0,0,1,1, whose
     # opposite edges are a full rainbow matching
-    monkeypatch.setattr(hunting, "_search", lambda *args, **kwargs: (None, 1))
+    monkeypatch.setattr(hunting, "_walk", lambda *args, **kwargs: (None, 1))
     spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
     with pytest.raises(RuntimeError, match="backtracking and brute force disagree on 4:0,0,1,1"):
         hunting._examine_unit((spec, (4,), 2, frozenset(), DEFAULT_BRUTE_LIMIT))
@@ -626,23 +626,75 @@ def test_recheck_structure_compares_degree_statistics():
             hunting._recheck_structure(spec, graph, stats)
 
 
+def _assert_equal_up_to_relabelling(tables, engine_tables, graph):
+    # the hunter's tables against the engine's own for the orbit's graph: the
+    # same layout, edges and keep masks, and vertex bits that differ by a
+    # one-to-one relabelling, with the depth in the same low bits
+    layers, *layout = tables
+    engine_layers, *engine_layout = engine_tables
+    assert layout == engine_layout
+    items = [item for layer in layers for item in layer]
+    engine_items = [item for layer in engine_layers for item in layer]
+    assert [len(layer) for layer in layers] == [len(layer) for layer in engine_layers]
+    assert [(i, keep) for i, _, keep in items] == [(i, keep) for i, _, keep in engine_items]
+    k = graph.colour_count.bit_length()
+    image: dict[int, int] = {}  # vertex -> the engine bits its edges share
+    for (index, vertices, _), (_, engine_vertices, _) in zip(items, engine_items):
+        u, v, _ = graph.edges[index]
+        assert vertices == (((1 << u) | (1 << v)) << k) + 1
+        assert engine_vertices & ((1 << k) - 1) == 1
+        for x in (u, v):
+            image[x] = image.get(x, engine_vertices >> k) & (engine_vertices >> k)
+    assert all(bit.bit_count() == 1 for bit in image.values())
+    assert len(set(image.values())) == len(image) == graph.vertex_count
+    for index, engine_vertices, _ in engine_items:
+        u, v, _ = graph.edges[index]
+        assert engine_vertices >> k == image[u] | image[v]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         SearchSpec(max_edges=12, colour_class_size=2),
         SearchSpec(max_edges=12, colour_class_size=3),
+        SearchSpec(max_edges=12, colour_class_size=3, require_bipartite=True),
         SearchSpec(max_edges=9, colour_class_size=2, class_size_is_minimum=True),
     ],
-    ids=["exact-2", "exact-3", "minimum-2"],
+    ids=["exact-2", "exact-3", "bipartite-3", "minimum-2"],
 )
-def test_orbit_triples_and_statistics_match_the_graph(spec):
+def test_orbit_tables_and_statistics_match_the_graph(spec):
     # what the engine and the gap filter read off each colour string is what
-    # the string's graph holds
+    # the string's graph holds, and walking the tables is the engine's
+    # search on the graph's edges: the same witness and node count
+    class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
     orbits = 0
     for shape, colours in hunting._work_units(spec):
-        for flat, triples, stats in hunting._unit_orbits(spec, shape, colours):
+        read = hunting._unit_plan(spec, shape, colours)
+        for flat in hunting._orderly_strings(shape, colours, class_size, minimum):
+            tables, stats = read(flat)
             graph = graph_from_cycle_colouring(shape, flat, colours)
-            assert tuple(triples) == graph.edges
+            _assert_equal_up_to_relabelling(tables, solver._tables(colours, graph.edges, True), graph)
+            assert solver._walk(tables, True) == solver._search(colours, graph.edges, True)
             assert stats == DegreeStats(colour_stats(graph).minimum, max_degree(graph))
             orbits += 1
     assert orbits == hunt(spec).orbits_examined
+
+
+def test_only_blocked_orbits_get_a_graph(monkeypatch):
+    built = []
+    build = hunting.build_graph
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(hunting, "build_graph", counted)
+    outcome = hunt(SearchSpec(max_edges=10, colour_class_size=2))
+    assert outcome.orbits_examined == 204
+    assert len(built) == len(outcome.results) == 166
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_hunt_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        hunt(SearchSpec(max_edges=4, colour_class_size=2), jobs=jobs)

@@ -308,16 +308,16 @@ MAX_MODE_NODES = {
 
 @pytest.fixture
 def engine_nodes(monkeypatch):
-    """The node count of every engine call made while the test runs."""
+    """The node count of every walk of the engine made while the test runs."""
     nodes = []
-    search = solver._search
+    walk = solver._walk
 
     def counted(*args, **kwargs):
-        result = search(*args, **kwargs)
+        result = walk(*args, **kwargs)
         nodes.append(result[1])
         return result
 
-    monkeypatch.setattr(solver, "_search", counted)
+    monkeypatch.setattr(solver, "_walk", counted)
     return nodes
 
 
@@ -338,6 +338,69 @@ def test_cap_stops_max_mode_at_its_first_set_of_that_size():
     best, nodes = solver._search(10, g.edges, False, cap=9)
     assert (len(best), frozenset(best)) == _uncapped(g)
     assert nodes == 20
+
+
+def test_max_mode_builds_its_tables_once(monkeypatch, engine_nodes):
+    calls = []
+    tables = solver._tables
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return tables(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_tables", counted)
+    assert max_rainbow_matching(latin_square(6, 1))[0] == 5
+    assert max_rainbow_matching(latin_square(5, 1))[0] == 5
+    # one set-up per call, walked twice without a full set and once with one
+    assert calls == [6, 5]
+    assert len(engine_nodes) == 3
+
+
+@pytest.mark.parametrize("colours", [1, 2, 4, 8, 16])
+def test_colour_counts_that_fill_the_depth_field(colours):
+    # a state's key keeps its depth in colour_count.bit_length() bits, which
+    # a power of two fills at the last depth; most colours get one edge of a
+    # hidden perfect matching, which keeps the largest rainbow matchings near
+    # full and the oracles fast
+    rng = random.Random(colours)
+    for _ in range(40):
+        n = 2 * colours + rng.randint(0, 2)
+        hidden = rng.sample(range(n), n)
+        edges = [
+            (hidden[2 * c], hidden[2 * c + 1], c) if rng.random() < 0.9
+            else (*rng.sample(range(n), 2), c)
+            for c in range(colours)
+        ]
+        edges += [(*rng.sample(range(n), 2), c) for c in range(colours) if rng.random() < 0.5]
+        g = build_graph(n, colours, edges)
+        # every depth from 0 to colours fits below the vertex bits
+        for layer in solver._tables(colours, g.edges, False)[0]:
+            assert all(vertices % 2 ** colours.bit_length() == 1 for _, vertices, _ in layer)
+        count, first = count_full_rainbow(g)
+        outcome = find_full_rainbow_matching(g)
+        assert (outcome.matching is not None) == (count > 0)
+        if outcome.matching is not None:
+            assert is_full_rainbow(g, outcome.matching)
+        assert brute_force_full_rainbow(g)[0].matching == first
+        size, witness = max_rainbow_matching(g)
+        assert size == max_rainbow_by_enumeration(g)
+        assert len(witness) == size and verify_matching(g, witness)
+
+
+def test_wide_instances_keep_a_small_peak():
+    # 2,000 disjoint one-edge colours: the tables hold a wide keep mask per
+    # edge and the stack a wide free-edge mask per depth, and nothing else
+    # wide is kept per depth
+    n = 2000
+    g = build_graph(2 * n, n, [(2 * i, 2 * i + 1, i) for i in range(n)])
+    for solve in (find_full_rainbow_matching, max_rainbow_matching):
+        tracemalloc.start()
+        try:
+            solve(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.6e6
 
 
 def test_max_rainbow_of_no_colours_is_empty(engine_nodes):
