@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import ColouredMultigraph
 
@@ -77,68 +77,111 @@ def _layout(sizes: Sequence[int]) -> tuple[list[int], list[int], list[int], int]
     return starts, [(1 << size) - 1 for size in sizes], guards, (1 << shift) - 1
 
 
-def _tables(colour_count: int, edges: Iterable[tuple[int, int, int]], must_pick: bool) -> tuple:
-    """The engine's set-up: what :func:`_walk` reads, built once per instance.
+def _plan(
+    colour_count: int, pairs: Iterable[tuple[int, int]]
+) -> Callable[[Sequence[int], bool], tuple]:
+    """The engine's set-up for one edge list: a reader of its colourings.
 
-    ``edges`` are ``(u, v, colour)`` triples, an edge's index being its
-    position; a graph's edges qualify, and so do plain triples.  They are
-    trusted to be valid as :class:`ColouredMultigraph` checks it (no
-    self-loops, every colour below ``colour_count`` on some edge), and are
-    unpacked, never read by attribute or validated here.
+    ``pairs`` are the edges' ``(u, v)`` endpoints, an edge's index being its
+    position.  They fix what the edge geometry alone decides: the vertices
+    that carry an edge, relabelled densely in order of first appearance (so
+    isolated vertices cost nothing), and each edge's packed vertex value.
+    The returned ``read(colours, must_pick)`` takes one colour per edge and
+    builds the tables :func:`_walk` reads for that colouring.  Edges and
+    colours are trusted to be valid as :class:`ColouredMultigraph` checks it
+    (no self-loops, every colour below ``colour_count`` on some edge), and
+    are not validated here.
 
     Depth d assigns the d-th colour in the static fail-first order (class
-    size, colour id); a colour's edges are in sequence order.  Returns
-    ``(layers, starts, widths, guards, every)``: the :func:`_layout` of the
-    colours in that order, and per depth one item per edge of its colour,
-    ``(index, vertices, keep)``.  Without ``must_pick`` each layer ends with
-    one more item, the skip ``(-1, 1, every)``, which max mode tries after
-    the edges; find mode never reads it, so these tables serve both modes.
+    size, colour id); a colour's edges are in sequence order.  ``read``
+    returns ``(layers, starts, widths, guards, every)``: the :func:`_layout`
+    of the colours in that order, cached with the order per multiset of
+    colours, and per depth one item per edge of its colour, ``(index,
+    vertices, keep)``.  Without ``must_pick`` each layer ends with one more
+    item, the skip ``(-1, 1, every)``, which max mode tries after the edges;
+    find mode never reads it, so these tables serve both modes.
 
     A state, the set of occupied vertices with its depth, is packed into one
     integer: the depth in the low ``k = colour_count.bit_length()`` bits and
-    the vertex bits above them (the vertices that carry an edge, relabelled
-    densely, so isolated vertices cost nothing).  An item's ``vertices`` is
-    its two vertex bits shifted up by ``k``, plus 1, so a child's key is its
-    parent's plus that value: the edge is free, so neither vertex is
-    occupied and the addition sets two new bits with no carry, and the depth
-    never exceeds ``colour_count``, which is below ``2**k``.  Keys therefore
-    stand one-to-one for states.  ``keep`` is ``every`` without the bits of
-    the edges this one blocks (itself and those sharing a vertex with it),
-    so a child's free edges are its parent's ANDed with it.
+    the vertex bits above them.  An item's ``vertices`` is its two vertex
+    bits shifted up by ``k``, plus 1, so a child's key is its parent's plus
+    that value: the edge is free, so neither vertex is occupied and the
+    addition sets two new bits with no carry, and the depth never exceeds
+    ``colour_count``, which is below ``2**k``.  Keys therefore stand
+    one-to-one for states, under any one-to-one relabelling of the vertices;
+    the search reads keys only to test them for equality, and orders its
+    candidates by their bits in the layout, so the relabelling changes
+    neither the tree nor its result.  ``keep`` is ``every`` without the bits
+    of the edges this one blocks (itself and those sharing a vertex with
+    it), so a child's free edges are its parent's ANDed with it.
     """
-    # per colour: (index, u, v) of its edges, in sequence order
-    by_colour: list[list[tuple[int, int, int]]] = [[] for _ in range(colour_count)]
-    for index, (u, v, colour) in enumerate(edges):
-        by_colour[colour].append((index, u, v))
-    order = sorted(range(colour_count), key=lambda c: (len(by_colour[c]), c))
-    starts, widths, guards, every = _layout([len(by_colour[c]) for c in order])
-
-    incident: dict[int, int] = {}  # vertex -> the bits of its edges
-    for colour, start in zip(order, starts):
-        for shift, (_, u, v) in enumerate(by_colour[colour], start):
-            bit = 1 << shift
-            incident[u] = incident.get(u, 0) | bit
-            incident[v] = incident.get(v, 0) | bit
     k = colour_count.bit_length()
-    vertex_bit = {x: 1 << i for i, x in enumerate(incident, k)}
-    layers = [
-        [
-            (index, vertex_bit[u] + vertex_bit[v] + 1, every ^ (incident[u] | incident[v]))
-            for index, u, v in by_colour[colour]
-        ]
-        for colour in order
-    ]
-    if not must_pick:
-        # skipping a colour is one more child: it occupies and blocks nothing
-        for layer in layers:
-            layer.append((-1, 1, every))
-    return layers, starts, widths, guards, every
+    dense: dict[int, int] = {}
+    # per edge: its index, its relabelled endpoints and its packed vertex value
+    plan: list[tuple[int, int, int, int]] = []
+    for index, (u, v) in enumerate(pairs):
+        u = dense.setdefault(u, len(dense))
+        v = dense.setdefault(v, len(dense))
+        plan.append((index, u, v, (((1 << u) | (1 << v)) << k) + 1))
+    vertex_count = len(dense)
+    # per multiset of colours: the layout, and per colour its depth and first bit
+    orders: dict[tuple[int, ...], tuple] = {}
+
+    def read(colours: Sequence[int], must_pick: bool) -> tuple:
+        multiset = tuple(sorted(colours))
+        known = orders.get(multiset)
+        if known is None:
+            counts = [0] * colour_count
+            for colour in multiset:
+                counts[colour] += 1
+            order = sorted(range(colour_count), key=counts.__getitem__)  # stable: ties by colour id
+            layout = _layout([counts[colour] for colour in order])
+            depth_of = [0] * colour_count
+            first_bit = [0] * colour_count
+            for depth, (colour, start) in enumerate(zip(order, layout[0])):
+                depth_of[colour] = depth
+                first_bit[colour] = start
+            known = orders[multiset] = layout, depth_of, first_bit
+        layout, depth_of, first_bit = known
+        every = layout[3]
+        shifts = first_bit.copy()
+        incident = [0] * vertex_count  # vertex -> the bits of its edges
+        for (_, u, v, _), colour in zip(plan, colours):
+            bit = 1 << shifts[colour]
+            shifts[colour] += 1
+            incident[u] |= bit
+            incident[v] |= bit
+        layers: list[list[tuple[int, int, int]]] = [[] for _ in depth_of]
+        for (index, u, v, value), colour in zip(plan, colours):
+            layers[depth_of[colour]].append((index, value, every ^ (incident[u] | incident[v])))
+        if not must_pick:
+            # skipping a colour is one more child: it occupies and blocks nothing
+            for layer in layers:
+                layer.append((-1, 1, every))
+        return (layers, *layout)
+
+    return read
+
+
+def _tables(colour_count: int, edges: Iterable[tuple[int, int, int]], must_pick: bool) -> tuple:
+    """The engine's set-up for one instance: the :func:`_plan` of ``edges``,
+    read once.
+
+    ``edges`` are ``(u, v, colour)`` triples, an edge's index being its
+    position; a graph's edges qualify, and so do plain triples.  They are
+    unpacked, never read by attribute.
+    """
+    pairs: list[tuple[int, int]] = []
+    colours: list[int] = []
+    for u, v, colour in edges:
+        pairs.append((u, v))
+        colours.append(colour)
+    return _plan(colour_count, pairs)(colours, must_pick)
 
 
 def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Optional[list[int]], int]:
     """The search engine behind both solvers: depth-first, on an explicit
-    stack, over the :func:`_tables` of an instance (or tables built the same
-    way, as the hunter builds them from a colour string).
+    stack, over the tables of a :func:`_plan`.
 
     With ``must_pick`` (find mode) every colour takes one free edge, and a
     child is entered only when every later colour still has a free edge; the
