@@ -648,14 +648,13 @@ def _examine_unit(
     is built once, and each orbit's tables are read off its colour string,
     which is valid by construction: the cycles have at least 3 edges, and
     every colour of a restricted-growth string with full classes is on some
-    edge.  The degree statistics come from the string too: delta(V1) of the
-    graph's hypergraph is its smallest colour class: the class size when
-    that is exact, and otherwise the class at depth 0, which the engine's
-    fail-first order gives the smallest.  Delta(V2 u V3) is its largest
-    vertex degree, 2.  Only a blocked orbit
-    gets edge triples and a graph: a validated :class:`ColouredMultigraph`,
-    on which the brute-force oracle and :func:`_recheck_structure` confirm
-    the block independently.
+    edge.  The degree statistics come from the string too, before any table
+    is read: delta(V1) of the graph's hypergraph is its smallest colour
+    class, which is the class size when that is exact and is otherwise
+    counted off the string.  Delta(V2 u V3) is its largest vertex degree, 2.
+    Only a blocked orbit gets edge triples and a graph: a validated
+    :class:`ColouredMultigraph`, on which the brute-force oracle and
+    :func:`_recheck_structure` confirm the block independently.
     """
     spec, shape, colours, skip_forms, brute_limit = args
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
@@ -668,11 +667,12 @@ def _examine_unit(
         if skip_forms and canonical_label(shape, _reshape(shape, flat)) in skip_forms:
             skipped += 1
             continue
-        tables = read(flat, True)
-        stats = DegreeStats(len(tables[0][0]), 2) if minimum else exact
+        stats = exact
+        if minimum:
+            stats = DegreeStats(min(map(flat.count, range(colours))), 2)
         if spec.require_delta_gap and stats.delta_v1 <= stats.delta_max_rest:
             continue
-        if _walk(tables, must_pick=True)[0] is not None:
+        if _walk(read(flat, True), must_pick=True)[0] is not None:
             continue
         label = canonical_label(shape, _reshape(shape, flat))
         graph = graph_from_cycle_colouring(shape, flat, colours)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -396,6 +397,53 @@ def test_hunt_gap_filter_empties_small_space():
     assert outcome.exhausted
 
 
+def test_hunt_gap_filter_with_a_minimum_class_size():
+    # every blocked orbit up to 9 edges has a colour class of 2, so
+    # delta(V1) = 2 = Delta and the gap filter must drop all 96 of them
+    spec = SearchSpec(
+        max_edges=9, colour_class_size=2, class_size_is_minimum=True, require_delta_gap=True
+    )
+    outcome = hunt(spec)
+    assert outcome.results == ()
+    assert outcome.exhausted
+    assert outcome.orbits_examined == 783
+    plain = hunt(dataclasses.replace(spec, require_delta_gap=False))
+    assert plain.orbits_examined == 783
+    assert len(plain.results) == 96
+    assert all(colour_stats(r.instance).minimum == 2 for r in plain.results)
+
+
+def test_gap_filter_reads_each_orbits_smallest_class():
+    # the 12-edge (4,4,4) unit with 4 colours and classes of at least 2 has
+    # 25 blocked orbits; the gap filter keeps exactly those whose own graph
+    # has delta(V1) > Delta, the 4,4,4 blocker with classes of 3, and the
+    # statistics it reports are the graph's
+    spec = SearchSpec(
+        max_edges=12,
+        colour_class_size=2,
+        require_bipartite=True,
+        class_size_is_minimum=True,
+        require_delta_gap=True,
+    )
+    unit = ((4, 4, 4), 4, frozenset(), DEFAULT_BRUTE_LIMIT)
+    results, _, orbits, _ = hunting._examine_unit((spec, *unit))
+    assert orbits == 502
+    assert [r.canonical_form for r in results] == ["4,4,4:0,1,0,1|0,2,1,3|2,3,2,3"]
+    for result in results:
+        graph = result.instance
+        assert result.stats == DegreeStats(colour_stats(graph).minimum, max_degree(graph))
+    plain, _, _, _ = hunting._examine_unit(
+        (dataclasses.replace(spec, require_delta_gap=False), *unit)
+    )
+    assert len(plain) == 25
+    kept = [
+        r.canonical_form
+        for r in plain
+        if colour_stats(r.instance).minimum > max_degree(r.instance)
+    ]
+    assert kept == [r.canonical_form for r in results]
+
+
 def test_hunt_eight_edges_full_sweep():
     spec = SearchSpec(max_edges=8, colour_class_size=2, require_bipartite=True)
     outcome = hunt(spec)
@@ -638,9 +686,9 @@ def test_recheck_structure_compares_degree_statistics():
 )
 def test_orbit_tables_and_statistics_match_the_graph(spec):
     # the tables the hunter reads off each colour string through the unit's
-    # plan are exactly the engine's own for the string's graph, and what the
-    # gap filter reads off them is what the graph holds: the smallest class
-    # at depth 0, exact when the class size is, and vertex degree 2
+    # plan are exactly the engine's own for the string's graph, whose
+    # smallest class is the class size when that is exact, and whose vertex
+    # degree is 2
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
     orbits = 0
     for shape, colours in hunting._work_units(spec):
@@ -649,9 +697,7 @@ def test_orbit_tables_and_statistics_match_the_graph(spec):
             tables = read(flat, True)
             graph = graph_from_cycle_colouring(shape, flat, colours)
             assert tables == solver._tables(colours, graph.edges, True)
-            smallest = colour_stats(graph).minimum
-            assert len(tables[0][0]) == smallest
-            assert minimum or smallest == class_size
+            assert minimum or colour_stats(graph).minimum == class_size
             assert max_degree(graph) == 2
             orbits += 1
     assert orbits == hunt(spec).orbits_examined
