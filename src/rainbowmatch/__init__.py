@@ -62,7 +62,6 @@ from .hunting import (
     canonical_colouring,
     canonical_label,
     enumerate_colourings,
-    enumerate_two_regular_shapes,
     graph_from_cycle_colouring,
     hunt,
     is_canonical,

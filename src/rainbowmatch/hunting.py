@@ -39,6 +39,7 @@ shapes it never reaches.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -57,7 +58,6 @@ __all__ = [
     "SearchResult",
     "AbsenceCertificate",
     "HuntOutcome",
-    "enumerate_two_regular_shapes",
     "enumerate_colourings",
     "canonical_colouring",
     "is_canonical",
@@ -133,18 +133,6 @@ class HuntOutcome:
     orbits_examined: int
     skipped_known: int
     exhausted: bool
-
-
-def enumerate_two_regular_shapes(max_edges: int, bipartite: bool) -> list[tuple[int, ...]]:
-    """All multisets of cycle lengths with total at most max_edges.
-
-    Cycle lengths are at least 3, and even when ``bipartite`` (odd cycles are
-    not 2-colourable).  Ordered by total edges, then number of cycles, then
-    lexicographically; each multiset is an ascending tuple.
-    """
-    if max_edges < 3:
-        raise ValueError("max_edges must be at least 3")
-    return [s for total in range(1, max_edges + 1) for s in _shapes_of_total(total, bipartite)]
 
 
 def _shapes_of_total(total: int, bipartite: bool) -> Iterator[tuple[int, ...]]:
@@ -699,6 +687,36 @@ def _examine_unit(
     return results, size, orbits, skipped
 
 
+def _in_sweep_order(payloads: Iterator[tuple], workers: int) -> Iterator[tuple]:
+    """:func:`_examine_unit` of each payload in a pool of ``workers``
+    processes, yielded in the payloads' order.
+
+    A unit is submitted only when a worker has finished one, so only the
+    calling thread draws on ``payloads``.  Closing the generator cancels the
+    units not started and waits for the running ones to end: no worker is
+    killed.  A worker that dies raises ``BrokenProcessPool``.
+    """
+    # imported here: nothing else needs it, and it costs every process
+    # about 1 MB of memory
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    executor = ProcessPoolExecutor(max_workers=workers)
+    try:
+        queued: collections.deque = collections.deque()
+        running: set = set()
+        for payload in payloads:
+            queued.append(executor.submit(_examine_unit, payload))
+            running.add(queued[-1])
+            if len(running) == workers:
+                running = wait(running, return_when=FIRST_COMPLETED).not_done
+            while queued and queued[0].done():
+                yield queued.popleft().result()
+        for future in queued:
+            yield future.result()
+    finally:
+        executor.shutdown(cancel_futures=True)
+
+
 def hunt(
     spec: SearchSpec,
     jobs: int = 1,
@@ -711,6 +729,9 @@ def hunt(
     shape, then colour sequence) and the order never depends on ``jobs``:
     the space is split into (shape, colour count) work units processed or
     merged in that fixed order, and ``stop_after`` cuts at unit boundaries.
+    With ``jobs`` above 1 the units run in worker processes: a ``stop_after``
+    stop lets up to ``jobs - 1`` running units end and kills no worker, and a
+    worker that dies raises ``BrokenProcessPool``.
     Forms in ``skip_forms`` (from a previous run's records) are not re-solved.
     Raises ValueError when ``jobs`` is below 1.
     """
@@ -725,16 +746,11 @@ def hunt(
     results: list[SearchResult] = []
     candidates = orbits = skipped = consumed = 0
     if len(first) > 1:
-        # imported here: nothing else needs it, and it costs every process
-        # about 1 MB of memory
-        import multiprocessing
-
-        pool = multiprocessing.Pool(processes=len(first))
-        mapped = pool.imap
+        merged = contextlib.closing(_in_sweep_order(payloads, len(first)))
     else:
-        pool, mapped = contextlib.nullcontext(), map
-    with pool:
-        for found, unit_candidates, unit_orbits, unit_skipped in mapped(_examine_unit, payloads):
+        merged = contextlib.nullcontext(map(_examine_unit, payloads))
+    with merged as outputs:
+        for found, unit_candidates, unit_orbits, unit_skipped in outputs:
             results.extend(found)
             candidates += unit_candidates
             orbits += unit_orbits
@@ -743,7 +759,7 @@ def hunt(
             if spec.stop_after is not None and len(results) >= spec.stop_after:
                 break
 
-    # a fresh walk: the pool's feeder thread may still be drawing on units
+    # a fresh walk: the pool draws units ahead of the merge
     exhausted = next(itertools.islice(_work_units(spec), consumed, None), None) is None
     if spec.stop_after is not None:
         results = results[: spec.stop_after]

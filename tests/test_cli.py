@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -218,8 +219,11 @@ def test_solve_many_colours(capsys, tmp_path):
 
 
 def test_import_leaves_multiprocessing_out():
-    # only a hunt with --jobs > 1 needs it; importing it costs about 1 MB
-    probe = "import sys, rainbowmatch.cli; print('multiprocessing' in sys.modules)"
+    # only a hunt with --jobs > 1 needs them; importing them costs about 1 MB
+    probe = (
+        "import sys, rainbowmatch.cli;"
+        " print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+    )
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -229,7 +233,41 @@ def test_import_leaves_multiprocessing_out():
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers must inherit the patched _examine_unit",
+)
+def test_hunt_ends_when_a_worker_dies():
+    # a worker that dies on the (5,) unit ends the hunt with exit 1 and one
+    # line, instead of leaving it waiting for a result that never comes
+    probe = """
+import os, sys
+from rainbowmatch import cli, hunting
+
+examine, parent = hunting._examine_unit, os.getpid()
+
+def dying(args):
+    if args[1] == (5,) and os.getpid() != parent:
+        os._exit(1)
+    return examine(args)
+
+hunting._examine_unit = dying
+sys.exit(cli.run(["hunt", "--class-size", "1", "--max-edges", "8", "--jobs", "2"]))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BrokenProcessPool"), result.stderr
 
 
 def test_convert_round_trips_are_stable(capsys, tmp_path):

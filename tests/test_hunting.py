@@ -15,7 +15,6 @@ from rainbowmatch import (
     canonical_label,
     colour_stats,
     enumerate_colourings,
-    enumerate_two_regular_shapes,
     find_full_rainbow_matching,
     graph_from_cycle_colouring,
     hunt,
@@ -28,29 +27,28 @@ from rainbowmatch.hypergraphs import DegreeStats
 from rainbowmatch.solver import DEFAULT_BRUTE_LIMIT
 
 
+def shapes_up_to(max_edges, bipartite):
+    return [s for total in range(1, max_edges + 1) for s in hunting._shapes_of_total(total, bipartite)]
+
+
 def test_shapes_bipartite_to_eight():
-    assert enumerate_two_regular_shapes(8, True) == [(4,), (6,), (8,), (4, 4)]
+    assert shapes_up_to(8, True) == [(4,), (6,), (8,), (4, 4)]
 
 
 def test_shapes_bipartite_to_five():
-    assert enumerate_two_regular_shapes(5, True) == [(4,)]
+    assert shapes_up_to(5, True) == [(4,)]
 
 
 def test_shapes_general_to_six():
-    assert enumerate_two_regular_shapes(6, False) == [(3,), (4,), (5,), (6,), (3, 3)]
+    assert shapes_up_to(6, False) == [(3,), (4,), (5,), (6,), (3, 3)]
 
 
 def test_shapes_order_and_feasible_totals():
-    shapes = enumerate_two_regular_shapes(12, True)
+    shapes = shapes_up_to(12, True)
     totals = [sum(s) for s in shapes]
     assert totals == sorted(totals)
     assert (4, 4, 4) in shapes
     assert all(all(part % 2 == 0 and part >= 4 for part in s) for s in shapes)
-
-
-def test_shapes_reject_tiny_bound():
-    with pytest.raises(ValueError):
-        enumerate_two_regular_shapes(2, False)
 
 
 @pytest.mark.parametrize("bipartite", [False, True])
@@ -64,7 +62,7 @@ def test_shapes_match_brute_force_reference(bipartite):
             if sum(s) <= n
         }
         expected = sorted(reference, key=lambda s: (sum(s), len(s), s))
-        assert enumerate_two_regular_shapes(n, bipartite) == expected, n
+        assert shapes_up_to(n, bipartite) == expected, n
 
 
 def colour_sequences(graphs):
@@ -185,7 +183,7 @@ def test_is_canonical_matches_full_minimisation():
     # every restricted-growth string of every shape up to 8 edges, over every
     # colour count, against the full minimum computed by canonical_colouring
     checked = accepted = 0
-    for shape in enumerate_two_regular_shapes(8, False):
+    for shape in shapes_up_to(8, False):
         for flat in restricted_growth_strings(sum(shape)):
             blocks = split(shape, flat)
             expected = canonical_colouring(shape, blocks) == blocks
@@ -551,32 +549,40 @@ def test_hunt_worker_count_independence():
 
 
 def test_hunt_starts_no_more_workers_than_units(monkeypatch):
-    # A stand-in pool records the worker count and runs the units in this
-    # process, so no worker is ever started.
-    import multiprocessing
+    # A stand-in executor records the worker count and runs each unit in this
+    # process as it is submitted, so no worker is ever started.
+    import concurrent.futures
 
     requested = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            requested.append(processes)
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __exit__(self, *exc_info):
-            return False
-
-        def imap(self, func, iterable):
-            return map(func, iterable)
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     spec = SearchSpec(max_edges=10, colour_class_size=2)
     assert len(list(hunting._work_units(spec))) == 11
     serial = hunt(spec, jobs=1)
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     assert hunt(spec, jobs=100_000) == serial
     assert hunt(spec, jobs=3) == serial
     assert requested == [11, 3]
+
+
+def test_stopped_pool_leaves_no_worker():
+    # a stop cancels the units not started and waits for the running ones
+    import multiprocessing
+
+    outcome = hunt(SearchSpec(10, 2, stop_after=3), jobs=2)
+    assert len(outcome.results) == 3 and not outcome.exhausted
+    assert multiprocessing.active_children() == []
 
 
 def test_hunt_resume_skips_certified_forms():
@@ -633,7 +639,7 @@ def test_class_size_one_unit_keeps_no_colour_maps():
 
 def test_class_size_one_string_is_canonical():
     rng = random.Random(1101)
-    for shape in enumerate_two_regular_shapes(9, False):
+    for shape in shapes_up_to(9, False):
         total = sum(shape)
         scrambled = rng.sample(range(total), total)
         expected = canonical_colouring(shape, hunting._reshape(shape, tuple(scrambled)))
@@ -646,7 +652,7 @@ def test_hunt_class_size_one_blocks_every_shape():
     # adjacent edges of a cycle share a vertex, so one edge per colour is
     # never a matching
     outcome = hunt(SearchSpec(max_edges=15, colour_class_size=1))
-    shapes = enumerate_two_regular_shapes(15, False)
+    shapes = shapes_up_to(15, False)
     assert [r.shape for r in outcome.results] == shapes
     assert outcome.orbits_examined == len(shapes)
     assert outcome.exhausted
