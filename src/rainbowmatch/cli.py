@@ -311,6 +311,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         # a fault of the program, not of its input: still one line
         message = " ".join(str(exc).split())

@@ -17,10 +17,11 @@ incremental.  Each completed cycle keeps the colour maps under which some
 arrangement of the cycles so far reads exactly as the prefix.  Against the
 rotations and reflections of the cycle being filled, under each of those
 maps, each position keeps the ones that still tie with the prefix, so a new
-slot costs about one comparison per tied pair.  Only a cycle inside a run of
-equal lengths needs the symmetry search of :func:`canonical_colouring`,
-over the run, from the maps kept before it.  A string that survives its last
-cycle is kept, with no separate test.
+slot costs about one comparison per tied pair, and a completed cycle reads
+each of them on only through the positions it has not compared.  A cycle of
+a length seen before is also read into the earlier slots of that length,
+from the arrangements kept for the slot before.  A string that survives its
+last cycle is kept, with no separate test.
 ``candidates_examined`` counts every string in the space, whether it was
 tested whole or cut with its prefix; the count comes from a formula
 (:func:`_space_size`), not from a walk.
@@ -45,9 +46,10 @@ import functools
 import itertools
 import json
 import math
+import signal
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .graphs import ColouredMultigraph, build_graph, colour_stats, graph_to_json, is_bipartite
 from .hypergraphs import DegreeStats
@@ -173,10 +175,8 @@ def _beam_minimum(
     shape: tuple[int, ...],
     blocks: tuple[tuple[int, ...], ...],
     target: Optional[tuple[tuple[int, ...], ...]] = None,
-    maps: Sequence[dict[int, int]] = ({},),
-) -> Optional[tuple[tuple[int, ...], list[dict[int, int]]]]:
-    """Flattened lexicographic minimum of a cycle colouring over its orbit,
-    with the colour maps of the arrangements that reach it.
+) -> Optional[tuple[int, ...]]:
+    """Flattened lexicographic minimum of a cycle colouring over its orbit.
 
     For a fixed geometric arrangement the best colour renaming is the
     first-occurrence relabelling (colour 0 for the first symbol seen, and so
@@ -186,13 +186,6 @@ def _beam_minimum(
     relabels greedily, and only the extensions tied with the slot's best
     segment survive.  Equal-length slots are interchangeable, which is exactly
     the cycle-permutation part of the group.
-
-    The walk starts from each of ``maps`` (by default the empty map).  A map
-    renames the colours of cycles placed before these, and a colour it lacks
-    takes its next label, which is its size.  Once every cycle is placed the
-    survivors differ only in their maps, and those are returned with the
-    minimum, in the order found: when the arrangement that leaves every cycle
-    in place survives from the first map, its map comes first.
 
     Each candidate is compared with the slot's best segment element by
     element and dropped at its first larger symbol.  Without ``target`` the
@@ -205,7 +198,7 @@ def _beam_minimum(
         raise ValueError("colouring does not match shape")
     # All beam entries share the best prefix, so only the new segment needs
     # comparing.  mapping is old colour -> new.
-    beam: list[tuple[frozenset[int], dict[int, int]]] = [(frozenset(), m) for m in maps]
+    beam: list[tuple[frozenset[int], dict[int, int]]] = [(frozenset(), {})]
     transforms = [_dihedral_transforms(block) for block in blocks]
     out: list[int] = []
     for slot, slot_length in enumerate(shape):
@@ -246,7 +239,7 @@ def _beam_minimum(
             return None
         out.extend(best)
         beam = list(survivors.values())
-    return tuple(out), [mapping for _, mapping in beam]
+    return tuple(out)
 
 
 def canonical_colouring(
@@ -258,7 +251,7 @@ def canonical_colouring(
     per-cycle rotations and reflections, permutations of equal-length cycles,
     and colour renaming.
     """
-    return _reshape(shape, _beam_minimum(shape, blocks)[0])
+    return _reshape(shape, _beam_minimum(shape, blocks))
 
 
 def is_canonical(shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> bool:
@@ -295,11 +288,9 @@ def _orderly_strings(
     so far reads exactly as the prefix, identity first.  A prefix is rejected
     when
 
-    (a) it has just completed a cycle inside a run of equal lengths, and
-        some arrangement of the run's cycles, under a map kept before the
-        run, reads below the prefix (the run is the whole head when an
-        earlier cycle outside it has its length too, which no hunt's
-        ascending shape has); or when
+    (a) it has just completed a cycle that an earlier cycle's slot can take,
+        and some arrangement that moves it there, with the cycles so far in
+        the other slots, reads below the prefix; or when
     (b) under some map kept before the cycle its last slot lies in, some
         rotation or reflection of that cycle, starting inside its known part
         and read as far as that part goes (round the whole cycle once it is
@@ -309,20 +300,28 @@ def _orderly_strings(
 
     Either case exhibits a smaller member of the orbit of every completion,
     so no canonical string is cut.  A complete string that survives both is
-    canonical: its cycles are filled in order, and under every arrangement
-    that ties with the prefix so far, each cycle of a new length stays in
-    its slot, where case (b) tested it, and each run was tested by case (a).
+    canonical: its cycles are filled in order, and every arrangement either
+    leaves each cycle in the slot where case (b) tested it or moves some
+    cycle to an earlier slot when it completes, where case (a) tested it.
 
     Both tests are incremental, so a prefix costs about one comparison per
-    transform that still ties with it, as in the necklace and bracelet tests
+    reading that still ties with it, as in the necklace and bracelet tests
     of Ruskey, Savage and Wang ("Generating necklaces", 1992) and Sawada
     ("Generating bracelets in constant amortized time", 2001).  For case (b)
     each position keeps the (map, rotation) pairs whose reading still
-    equals the known part; a new slot compares one symbol for each (one
-    found above stays above), then the rotation and the reflection starting
-    at the slot under each map.  A completed cycle reads only its tied pairs
-    round it, and those that read equal give its maps.  Case (a) runs the
-    beam of :func:`_beam_minimum` over the run, from the maps kept before it.
+    equals the known part, and the maps under which the reflection starting
+    there equals it.  A new slot compares one symbol for each pair (one
+    found above stays above), then reads the rotation and the reflection
+    starting at the slot; a completed cycle reads each tied reading on
+    through the positions it has not compared, and those that read equal
+    give its maps.  Every reading names a symbol from arrays: by the map
+    when an earlier cycle has it, by the known symbol where the reading met
+    it before, and otherwise by the next new name.  For case (a) each
+    completed cycle keeps the survivors of each slot (the cycles placed up
+    to it and the map under which they read as the prefix), as in the beam
+    of :func:`_beam_minimum`; a completed cycle is read only into the
+    earlier slots its length allows, from the survivors of the slot before,
+    and then on with the cycles left (McKay, 1998).
 
     With an exact class size of 1 the space is the one string that names
     every position afresh, and it is canonical, so it is returned with no
@@ -337,72 +336,41 @@ def _orderly_strings(
     counts = [0] * colours
     current = [0] * total
     # per position: the index of its cycle and where that cycle starts; per
-    # cycle: the first cycle of its run of equal lengths, or 0 when an
-    # earlier cycle outside that run has its length too
+    # cycle: the cycles of its length, and whether a later cycle can move to
+    # an earlier slot (then its completion keeps each slot's survivors)
     cycle_of: list[int] = []
     start_of: list[int] = []
-    run_of: list[int] = []
     for k, length in enumerate(shape):
-        if k and length == shape[k - 1]:
-            run_of.append(run_of[-1])
-        else:
-            run_of.append(0 if length in shape[:k] else k)
         start_of.extend([len(cycle_of)] * length)
         cycle_of.extend([k] * length)
+    same = [[c for c, n in enumerate(shape) if n == length] for length in shape]
+    keeps = [any(same[c][0] < c for c in range(k + 1, len(shape))) for k in range(len(shape))]
     # colours used before each cycle, recorded when its first slot is filled
     base = [0] * len(shape)
-    # per filled position: the previous position of its colour (-1 if none;
-    # last holds each colour's latest), the highest colour in its cycle so
+    # per colour: its first and latest position; per filled position: the
+    # previous position of its colour (-1 if none), the highest colour so
     # far (at least base - 1), the (colour map, rotation offset from the
-    # cycle's start) pairs whose relabelled reading still equals the known
-    # part, and the maps under which the reflection starting there tied over
-    # its whole reading
+    # cycle's start) pairs whose reading still equals the known part, and
+    # the maps under which the reflection starting there equals it
+    first = [0] * colours
     last = [-1] * colours
     previous = [-1] * total
     top = [0] * total
     tied: list[list[tuple[tuple[int, ...], int]]] = [[]] * total
     mirror: list[list[tuple[int, ...]]] = [[]] * total
     # before each cycle: the colour maps of the cycles so far, identity
-    # first; a map gives each of their colours its new name
+    # first; a map gives each of their colours its new name.  Per completed
+    # cycle: its rotations and reflections, and per slot the (cycles used,
+    # map) pairs that read as the prefix up to it (-1: a colour not named)
     maps: list[list[tuple[int, ...]]] = [[()]] * (len(shape) + 1)
-
-    def children(position: int, used: int, short: int) -> Iterator[tuple[int, int]]:
-        # (colour, whether it fills a class still short of class_size) for
-        # each colour that may go at position; short counts the edges still
-        # missing from such classes, and a colour is pruned unless the
-        # remaining positions can still cover them
-        for colour in range(min(used + 1, colours - 1) + 1):
-            count = counts[colour]
-            if not minimum and count >= class_size:
-                continue
-            filling = count < class_size
-            if short - filling <= total - position - 1:
-                yield colour, filling
-
-    def compare(
-        reading: list[int], known: list[int], fresh: int, renamed: tuple[int, ...]
-    ) -> tuple[int, dict[int, int]]:
-        # the sign of reading - known on their overlap, where the colours of
-        # the earlier cycles are renamed by the map and the others from fresh
-        # upwards in order of first occurrence; and that second renaming
-        relabel: dict[int, int] = {}
-        for symbol, reference in zip(reading, known):
-            if symbol < fresh:
-                symbol = renamed[symbol]
-            else:
-                value = relabel.get(symbol)
-                if value is None:
-                    value = relabel[symbol] = fresh + len(relabel)
-                symbol = value
-            if symbol != reference:
-                return symbol - reference, relabel
-        return 0, relabel
+    images: list[list[tuple[int, ...]]] = [[]] * len(shape)
+    kept: list[list[list[tuple[int, tuple[int, ...]]]]] = [[]] * len(shape)
+    unnamed = (-1,) * colours
 
     def rejected(position: int) -> bool:
         # the prefix up to position, whose slot was just filled
         cycle, start, symbol = cycle_of[position], start_of[position], current[position]
         fresh = base[cycle]
-        top[position] = max(top[position - 1] if position > start else fresh - 1, symbol)
         # case (b): the rotation and the reflection starting at the new slot
         # both read it first, renamed as the first of its window; the maps
         # under which that ties with the cycle's first symbol
@@ -414,8 +382,6 @@ def _orderly_strings(
                 return True
             if value == opening:
                 leading.append(renamed)
-        if position - start + 1 == shape[cycle]:
-            return completed(position, cycle, start, fresh, leading)
         # the new symbol as each tied pair reads it, against the known symbol
         # its rotation places before it
         still = []
@@ -435,77 +401,154 @@ def _orderly_strings(
                 still.append((renamed, i))
         # at the cycle's start the identity reads the cycle as it is
         still += [(renamed, position - start) for renamed in leading[position == start :]]
-        tied[position] = still
-        # the reflections starting at the new slot, read on while they tie
-        known = current[start : position + 1]
-        reading = known[::-1]
+        # the reflections starting at the new slot, read down to the start
         reflected = []
+        span = start + position
         for renamed in leading:
-            sign = compare(reading, known, fresh, renamed)[0]
-            if sign < 0:
-                return True
-            if not sign:
+            for q in range(position - 1, start - 1, -1):
+                symbol = current[q]
+                if symbol < fresh:
+                    value = renamed[symbol]
+                elif last[symbol] > q:
+                    value = current[span - last[symbol]]
+                else:
+                    value = top[span - q - 1] + 1
+                reference = current[span - q]
+                if value != reference:
+                    if value < reference:
+                        return True
+                    break
+            else:
                 reflected.append(renamed)
         mirror[position] = reflected
-        return False
-
-    def completed(
-        position: int, cycle: int, start: int, fresh: int, leading: list[tuple[int, ...]]
-    ) -> bool:
-        known = current[start : position + 1]
-        end = len(known) - 1
-        # case (b) round the cycle, for the pairs still tied (one that read
-        # above on a shorter prefix stays above), those starting at the last
-        # slot included; each one that reads equal extends its map to the
-        # cycle's new colours, a colour map of the cycles so far
-        readings = [(renamed, known[i:] + known[:i]) for renamed, i in tied[position - 1]]
-        readings += [
-            (renamed, known[i::-1] + known[:i:-1])
-            for i in range(end)
-            for renamed in mirror[start + i]
-        ]
-        for renamed in leading:
-            readings += [(renamed, known[end:] + known[:end]), (renamed, known[::-1])]
-        new = range(fresh, top[position] + 1)
-        extended = {maps[cycle][0] + tuple(new): None}
-        for renamed, reading in readings:
-            sign, relabel = compare(reading, known, fresh, renamed)
-            if sign < 0:
-                return True
-            if sign == 0:
-                extended[renamed + tuple(relabel[c] for c in new)] = None
-        # case (a): a cycle inside a run is placed anywhere in the run (the
-        # run is the whole head when it is out of order); a cycle of a new
-        # length stays in place, so case (b) was its test
-        first = run_of[cycle]
-        if first == cycle:
-            maps[cycle + 1] = list(extended)
+        if position - start + 1 < shape[cycle]:
+            tied[position] = still
             return False
-        head = shape[first : cycle + 1]
-        blocks = _reshape(head, tuple(current[sum(shape[:first]) : position + 1]))
-        starts = [dict(enumerate(renamed)) for renamed in maps[first]]
-        found = _beam_minimum(head, blocks, blocks, starts)
-        if found is None:
-            return True
-        maps[cycle + 1] = [tuple(map(m.__getitem__, range(len(m)))) for m in found[1]]
+        return completed(position, cycle, start, fresh, still)
+
+    def completed(position: int, cycle: int, start: int, fresh: int, still: list) -> bool:
+        # case (b) round the cycle: each tied reading reads on through the
+        # positions it has not compared; each that ties names the cycle's new
+        # colours by the known symbols where it reads their latest positions,
+        # which extends its map to a colour map of the cycles so far
+        length = shape[cycle]
+        new = range(fresh, top[position] + 1)
+        found = {maps[cycle][0] + tuple(new): None}
+        for renamed, i in still:
+            wrap = start + i
+            for q in range(start, wrap):
+                symbol = current[q]
+                if symbol < fresh:
+                    value = renamed[symbol]
+                elif last[symbol] >= wrap:
+                    value = current[last[symbol] - i]
+                elif first[symbol] < q:
+                    value = current[first[symbol] + length - i]
+                else:
+                    value = top[q + length - i - 1] + 1
+                reference = current[q + length - i]
+                if value != reference:
+                    if value < reference:
+                        return True
+                    break
+            else:
+                found[renamed + tuple(current[start + (last[c] - wrap) % length] for c in new)] = None
+        for p in range(start, position + 1):
+            span = p + position + 1
+            for renamed in mirror[p]:
+                for q in range(position, p, -1):
+                    symbol = current[q]
+                    if symbol < fresh:
+                        value = renamed[symbol]
+                    elif last[symbol] > q:
+                        value = current[span - last[symbol]]
+                    elif first[symbol] <= p:
+                        value = current[start + p - first[symbol]]
+                    else:
+                        value = top[span - q - 1] + 1
+                    reference = current[span - q]
+                    if value != reference:
+                        if value < reference:
+                            return True
+                        break
+                else:
+                    found[renamed + tuple(current[start + (p - last[c]) % length] for c in new)] = None
+        if not (keeps[cycle] or same[cycle][0] < cycle):
+            maps[cycle + 1] = list(found)
+            return False
+        # case (a): the arrangements that move the cycle to an earlier slot
+        # of its length, from the survivors of the slot before; the frontier
+        # holds those placed so far, read on slot by slot with the cycles
+        # left (leaving the cycle in place is case (b))
+        images[cycle] = _dihedral_transforms(tuple(current[start : position + 1]))
+        slots = kept[cycle - 1][:] if cycle else []
+        frontier: dict[tuple[int, tuple[int, ...]], None] = {}
+        for slot in range(same[cycle][0], cycle + 1):
+            reads = [
+                (used | 1 << c, renamed, images[c])
+                for used, renamed in frontier
+                for c in same[slot]
+                if c < cycle and not used >> c & 1
+            ]
+            if slot < cycle and shape[slot] == length:
+                sources = kept[cycle - 1][slot - 1] if slot else [(0, unnamed)]
+                reads += [(used | 1 << cycle, renamed, images[cycle]) for used, renamed in sources]
+            known = images[slot][0]
+            frontier = {}
+            for used, renamed, transforms in reads:
+                for transform in transforms:
+                    value = renamed[transform[0]]
+                    if (value if value >= 0 else base[slot]) > known[0]:
+                        continue  # above at its first symbol
+                    names = list(renamed)
+                    name = base[slot]
+                    for symbol, reference in zip(transform, known):
+                        value = names[symbol]
+                        if value < 0:
+                            value = names[symbol] = name
+                            name += 1
+                        if value != reference:
+                            if value < reference:
+                                return True
+                            break
+                    else:
+                        frontier[used, tuple(names)] = None
+            if slot < cycle:
+                slots[slot] = slots[slot] + list(frontier)
+        found.update(dict.fromkeys(renamed[: top[position] + 1] for _, renamed in frontier))
+        maps[cycle + 1] = list(found)
+        kept[cycle] = slots + [[((2 << cycle) - 1, (*m, *unnamed[len(m) :])) for m in found]]
         return False
 
     def extend(position: int, used: int, short: int) -> Iterator[tuple[int, ...]]:
         if position == total:
-            # the prune in children leaves short == 0 here: every class is full
+            # the prune below leaves short == 0 here: every class is full
             yield tuple(current)
             return
         if start_of[position] == position:
             base[cycle_of[position]] = used + 1
-        for colour, filling in children(position, used, short):
-            counts[colour] += 1
+        # each colour that may go at position; short counts the edges still
+        # missing from classes short of class_size, and a colour is pruned
+        # unless the remaining positions can still cover them
+        room = total - position - 1
+        for colour in range(used + 2 if used + 2 < colours else colours):
+            count = counts[colour]
+            if count >= class_size and not minimum:
+                continue
+            filling = count < class_size
+            if short - filling > room:
+                continue
+            counts[colour] = count + 1
             current[position] = colour
-            previous[position] = last[colour]
+            previous[position] = earlier = last[colour]
+            if earlier < 0:
+                first[colour] = position
             last[colour] = position
+            top[position] = colour if colour > used else used
             if not rejected(position):
-                yield from extend(position + 1, max(used, colour), short - filling)
-            last[colour] = previous[position]
-            counts[colour] -= 1
+                yield from extend(position + 1, top[position], short - filling)
+            last[colour] = earlier
+            counts[colour] = count
 
     yield from extend(0, -1, colours * class_size)
 
@@ -687,6 +730,16 @@ def _examine_unit(
     return results, size, orbits, skipped
 
 
+def _examine_in_worker(payload: tuple) -> tuple[list[SearchResult], int, int, int]:
+    # Ctrl-C signals the workers too: a worker ignores SIGINT between units,
+    # where it would die with a traceback, and is interrupted in one
+    waiting = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        return _examine_unit(payload)
+    finally:
+        signal.signal(signal.SIGINT, waiting)
+
+
 def _in_sweep_order(payloads: Iterator[tuple], workers: int) -> Iterator[tuple]:
     """:func:`_examine_unit` of each payload in a pool of ``workers``
     processes, yielded in the payloads' order.
@@ -700,12 +753,14 @@ def _in_sweep_order(payloads: Iterator[tuple], workers: int) -> Iterator[tuple]:
     # about 1 MB of memory
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    executor = ProcessPoolExecutor(max_workers=workers)
+    executor = ProcessPoolExecutor(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
     try:
         queued: collections.deque = collections.deque()
         running: set = set()
         for payload in payloads:
-            queued.append(executor.submit(_examine_unit, payload))
+            queued.append(executor.submit(_examine_in_worker, payload))
             running.add(queued[-1])
             if len(running) == workers:
                 running = wait(running, return_when=FIRST_COMPLETED).not_done

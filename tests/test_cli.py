@@ -2,8 +2,10 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -268,6 +270,76 @@ sys.exit(cli.run(["hunt", "--class-size", "1", "--max-edges", "8", "--jobs", "2"
     assert result.returncode == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: BrokenProcessPool"), result.stderr
+
+
+INTERRUPTED_HUNT = """
+import sys, time
+from rainbowmatch import cli, hunting
+
+examine = hunting._examine_unit
+
+def slow(args):
+    # the (8,) unit keeps one worker busy while the other waits for work
+    if args[1] == (8,):
+        time.sleep(30)
+    return examine(args)
+
+if sys.argv[2] == "idle":
+    hunting._examine_unit = slow
+print("ready", flush=True)
+sys.exit(cli.run(["hunt", "--class-size", sys.argv[3], "--max-edges", sys.argv[4], "--jobs", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize(
+    "jobs, workers, class_size, max_edges",
+    [
+        ("1", "busy", "3", "15"),
+        ("2", "busy", "3", "15"),
+        pytest.param(
+            "2", "idle", "2", "8",
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the workers must inherit the patched _examine_unit",
+            ),
+        ),
+    ],
+)
+def test_interrupted_hunt_ends_with_one_line(jobs, workers, class_size, max_edges):
+    # Ctrl-C in a terminal sends SIGINT to the whole foreground process
+    # group, workers included, whether they are running a unit or waiting
+    # for one: the hunt ends with exit 1, one line on stderr and no process
+    # of its group left
+    src = str(Path(cli.__file__).resolve().parents[1])
+    process = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_HUNT, jobs, workers, class_size, max_edges],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
+    )
+    try:
+        assert process.stdout.readline() == "ready\n"
+        # each hunt takes several seconds; by now it is under way
+        time.sleep(1)
+        os.killpg(process.pid, signal.SIGINT)
+        out, err = process.communicate(timeout=60)
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
+    assert (process.returncode, out, err) == (1, "", "interrupted\n")
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(process.pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.1)
+    else:
+        pytest.fail("a process of the interrupted hunt is still running")
 
 
 def test_convert_round_trips_are_stable(capsys, tmp_path):

@@ -356,6 +356,99 @@ def test_orderly_generation_at_twelve_edges(shape):
     assert list(hunting._orderly_strings(shape, 6, 2, False)) == expected
 
 
+def orbit_minima(shape, colours, class_size, minimum):
+    """The strings of a unit that are the least member of their orbit.
+
+    Shares no code with the generator or with _beam_minimum: the group is
+    enumerated element by element, as a list of positions to read.  Slot i
+    of an element takes a cycle of its length (a permutation of the
+    equal-length cycles) under one of its rotations and reflections, and
+    each image is renamed by first occurrence before it is compared.
+    """
+    starts = [sum(shape[:i]) for i in range(len(shape))]
+    orders = [
+        order
+        for order in itertools.permutations(range(len(shape)))
+        if all(shape[slot] == shape[k] for slot, k in enumerate(order))
+    ]
+    # each cycle's rotations and reflections, as the positions they read
+    turns = [
+        [[start + (r + d * t) % n for t in range(n)] for r in range(n) for d in (1, -1)]
+        for start, n in zip(starts, shape)
+    ]
+    group = [
+        sum(choice, [])
+        for order in orders
+        for choice in itertools.product(*(turns[k] for k in order))
+    ]
+
+    def renamed(image):
+        names = {}
+        return tuple(names.setdefault(c, len(names)) for c in image)
+
+    minima = []
+    for s in restricted_growth_strings(sum(shape)):
+        sizes = [s.count(c) for c in range(max(s) + 1)]
+        if len(sizes) != colours or min(sizes) < class_size:
+            continue
+        if not minimum and max(sizes) != class_size:
+            continue
+        if not any(renamed([s[p] for p in element]) < s for element in group):
+            minima.append(s)
+    return minima
+
+
+@pytest.mark.parametrize(
+    "shape, colours, class_size, minimum",
+    [
+        ((4, 4), 4, 2, False),
+        ((3, 3, 3), 3, 3, False),
+        ((3, 3, 4), 5, 2, False),
+        # equal lengths apart, which no hunt shape has
+        ((3, 4, 3), 5, 2, False),
+        ((4, 4), 3, 2, True),
+    ],
+)
+def test_orderly_generation_yields_the_orbit_minima(shape, colours, class_size, minimum):
+    expected = orbit_minima(shape, colours, class_size, minimum)
+    assert expected
+    assert list(hunting._orderly_strings(shape, colours, class_size, minimum)) == sorted(expected)
+
+
+def test_case_a_reads_a_bounded_number_of_arrangements(monkeypatch):
+    # Case (a) reads a completed cycle into an earlier slot by iterating the
+    # rotations and reflections that _dihedral_transforms lists; a list that
+    # counts the members it yields counts those readings.  Over the units of
+    # test_orderly_generation_cuts_no_canonical_string the count is pinned at
+    # its measured value: a weaker test (more prefixes reaching a completed
+    # cycle, or survivors read from more than the slot before) reads more.
+    readings = 0
+
+    class Counted(list):
+        def __iter__(self):
+            nonlocal readings
+            for transform in super().__iter__():
+                readings += 1
+                yield transform
+
+    transforms = hunting._dihedral_transforms
+    monkeypatch.setattr(hunting, "_dihedral_transforms", lambda block: Counted(transforms(block)))
+    units = {
+        (shape, colours, class_size, minimum)
+        for minimum, class_sizes, max_edges in ORDERLY_SPACES
+        for class_size in class_sizes
+        for bipartite in (False, True)
+        for shape, colours in hunting._work_units(
+            SearchSpec(max_edges, class_size, bipartite, class_size_is_minimum=minimum)
+        )
+    }
+    assert len(units) == 322
+    for unit in sorted(units):
+        for _ in hunting._orderly_strings(*unit):
+            pass
+    assert 0 < readings <= 10672, readings
+
+
 def test_canonical_label_format():
     assert canonical_label((4, 4), ((0, 1, 0, 1), (2, 3, 2, 3))) == "4,4:0,1,0,1|2,3,2,3"
 
@@ -556,7 +649,7 @@ def test_hunt_starts_no_more_workers_than_units(monkeypatch):
     requested = []
 
     class RecordingExecutor:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             requested.append(max_workers)
 
         def submit(self, fn, *args):
