@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -322,7 +323,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # a Ctrl-C while the interpreter exits would end it with a traceback, or
+    # killed by the signal; the command has finished, and its code stands
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

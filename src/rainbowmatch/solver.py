@@ -52,38 +52,12 @@ class SolveOutcome:
     exhaustive: bool
 
 
-def _layout(sizes: Sequence[int]) -> tuple[list[int], list[int], list[int], int]:
-    """The bit layout of the engine's free-edge mask, for colours of the
-    given class sizes in depth order.
-
-    Each colour owns a run of bits, one per edge, followed by a guard bit
-    that no edge uses.  Returns, per depth, the first bit of its colour's
-    run and the run's width as a mask of that many ones; per depth d, the
-    guard bits of the colours at depths d and later, with one more entry, 0,
-    for the depth past the last; and ``every``, the mask of every bit of the
-    layout, runs and guards alike.
-    """
-    starts: list[int] = []
-    shift = 0
-    every_guard = 0
-    for size in sizes:
-        starts.append(shift)
-        shift += size
-        every_guard |= 1 << shift
-        shift += 1
-    # the guard bits from each run's start up
-    guards = [every_guard >> start << start for start in starts]
-    guards.append(0)
-    return starts, [(1 << size) - 1 for size in sizes], guards, (1 << shift) - 1
-
-
-def _plan(
-    colour_count: int, pairs: Iterable[tuple[int, int]]
-) -> Callable[[Sequence[int], bool], tuple]:
+def _plan(colour_count: int, edges: Iterable[Sequence[int]]) -> Callable[[Sequence[int], bool], tuple]:
     """The engine's set-up for one edge list: a reader of its colourings.
 
-    ``pairs`` are the edges' ``(u, v)`` endpoints, an edge's index being its
-    position.  They fix what the edge geometry alone decides: the vertices
+    An edge's first two entries are its endpoints and its index is its
+    position, so a graph's edges qualify, and so do bare ``(u, v)`` pairs.
+    The endpoints fix what the edge geometry alone decides: the vertices
     that carry an edge, relabelled densely in order of first appearance (so
     isolated vertices cost nothing), and each edge's packed vertex value.
     The returned ``read(colours, must_pick)`` takes one colour per edge and
@@ -94,9 +68,15 @@ def _plan(
 
     Depth d assigns the d-th colour in the static fail-first order (class
     size, colour id); a colour's edges are in sequence order.  ``read``
-    returns ``(layers, starts, widths, guards, every)``: the :func:`_layout`
-    of the colours in that order, cached with the order per multiset of
-    colours, and per depth one item per edge of its colour, ``(index,
+    returns ``(layers, starts, widths, guards, every)``, the last four the
+    bit layout of the free-edge mask, cached with the order per multiset of
+    colours.  Each colour owns a run of bits, one per edge, followed by a
+    guard bit that no edge uses.  ``starts`` and ``widths`` give, per depth,
+    the first bit of its colour's run and the run's width as a mask of that
+    many ones; ``guards`` gives, per depth d, the guard bits of the colours
+    at depths d and later, with one more entry, 0, for the depth past the
+    last; and ``every`` is the mask of every bit, runs and guards alike.
+    ``layers`` holds per depth one item per edge of its colour, ``(index,
     vertices, keep)``.  Without ``must_pick`` each layer ends with one more
     item, the skip ``(-1, 1, every)``, which max mode tries after the edges;
     find mode never reads it, so these tables serve both modes.
@@ -119,9 +99,9 @@ def _plan(
     dense: dict[int, int] = {}
     # per edge: its index, its relabelled endpoints and its packed vertex value
     plan: list[tuple[int, int, int, int]] = []
-    for index, (u, v) in enumerate(pairs):
-        u = dense.setdefault(u, len(dense))
-        v = dense.setdefault(v, len(dense))
+    for index, edge in enumerate(edges):
+        u = dense.setdefault(edge[0], len(dense))
+        v = dense.setdefault(edge[1], len(dense))
         plan.append((index, u, v, (((1 << u) | (1 << v)) << k) + 1))
     vertex_count = len(dense)
     # per multiset of colours: the layout, and per colour its depth and first bit
@@ -135,12 +115,23 @@ def _plan(
             for colour in multiset:
                 counts[colour] += 1
             order = sorted(range(colour_count), key=counts.__getitem__)  # stable: ties by colour id
-            layout = _layout([counts[colour] for colour in order])
             depth_of = [0] * colour_count
             first_bit = [0] * colour_count
-            for depth, (colour, start) in enumerate(zip(order, layout[0])):
+            starts: list[int] = []
+            shift = 0
+            every_guard = 0
+            for depth, colour in enumerate(order):
                 depth_of[colour] = depth
-                first_bit[colour] = start
+                first_bit[colour] = shift
+                starts.append(shift)
+                shift += counts[colour]
+                every_guard |= 1 << shift
+                shift += 1
+            # the guard bits from each run's start up
+            guards = [every_guard >> start << start for start in starts]
+            guards.append(0)
+            widths = [(1 << counts[colour]) - 1 for colour in order]
+            layout = starts, widths, guards, (1 << shift) - 1
             known = orders[multiset] = layout, depth_of, first_bit
         layout, depth_of, first_bit = known
         every = layout[3]
@@ -163,25 +154,14 @@ def _plan(
     return read
 
 
-def _tables(colour_count: int, edges: Iterable[tuple[int, int, int]], must_pick: bool) -> tuple:
-    """The engine's set-up for one instance: the :func:`_plan` of ``edges``,
-    read once.
-
-    ``edges`` are ``(u, v, colour)`` triples, an edge's index being its
-    position; a graph's edges qualify, and so do plain triples.  They are
-    unpacked, never read by attribute.
-    """
-    pairs: list[tuple[int, int]] = []
-    colours: list[int] = []
-    for u, v, colour in edges:
-        pairs.append((u, v))
-        colours.append(colour)
-    return _plan(colour_count, pairs)(colours, must_pick)
+def _tables(graph: ColouredMultigraph, must_pick: bool) -> tuple:
+    """The engine's set-up for one graph: its :func:`_plan`, read once."""
+    return _plan(graph.colour_count, graph.edges)([e.colour for e in graph.edges], must_pick)
 
 
 def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Optional[list[int]], int]:
-    """The search engine behind both solvers: depth-first, on an explicit
-    stack, over the tables of a :func:`_plan`.
+    """The engine's search, for both solvers and the hunter: depth-first, on
+    an explicit stack, over the tables a :func:`_plan` reader builds.
 
     With ``must_pick`` (find mode) every colour takes one free edge, and a
     child is entered only when every later colour still has a free edge; the
@@ -294,16 +274,6 @@ def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Op
     return (None if must_pick else best), nodes
 
 
-def _search(
-    colour_count: int,
-    edges: Iterable[tuple[int, int, int]],
-    must_pick: bool,
-    cap: Optional[int] = None,
-) -> tuple[Optional[list[int]], int]:
-    """One engine call: :func:`_walk` over the :func:`_tables` of ``edges``."""
-    return _walk(_tables(colour_count, edges, must_pick), must_pick, cap)
-
-
 def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
     """Decide by complete backtracking whether a full rainbow matching exists.
 
@@ -313,7 +283,7 @@ def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
     ``nodes_explored`` counts the search nodes entered; states skipped as
     already refuted are not nodes.
     """
-    matching, nodes = _search(graph.colour_count, graph.edges, must_pick=True)
+    matching, nodes = _walk(_tables(graph, True), must_pick=True)
     return SolveOutcome(
         matching=None if matching is None else frozenset(matching),
         nodes_explored=nodes,
@@ -341,7 +311,7 @@ def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]
     since it replaces the best set only by a strictly larger one.
     """
     n = graph.colour_count
-    tables = _tables(n, graph.edges, must_pick=False)
+    tables = _tables(graph, must_pick=False)
     full, _ = _walk(tables, must_pick=True)
     if full is not None:
         return n, frozenset(full)

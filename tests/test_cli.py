@@ -146,6 +146,15 @@ def test_brute_limit_env(capsys, tmp_path, monkeypatch):
     assert "1024" in err
     monkeypatch.setenv("RAINBOW_BRUTE_LIMIT", "2000")
     assert run_cli(capsys, "solve", "--method", "brute", str(g4))[0] == 3
+    # a limit that is not an integer is refused before any work, in one line
+    for raw, argv in [
+        ("1e3", ["solve", "--method", "brute", str(g4)]),
+        ("x", ["hunt", "--class-size", "2", "--max-edges", "4"]),
+    ]:
+        monkeypatch.setenv("RAINBOW_BRUTE_LIMIT", raw)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: RAINBOW_BRUTE_LIMIT must be an integer, got {raw!r}\n"
 
 
 def test_solve_brute_method_huge_vertex_ids(capsys, tmp_path):
@@ -342,6 +351,32 @@ def test_interrupted_hunt_ends_with_one_line(jobs, workers, class_size, max_edge
         pytest.fail("a process of the interrupted hunt is still running")
 
 
+SIGNALLED_AT_EXIT = """
+import atexit, os, signal, sys
+from rainbowmatch import cli
+
+# Ctrl-C after the command has finished, while the interpreter exits
+atexit.register(os.kill, os.getpid(), signal.SIGINT)
+sys.argv = ["rainbowmatch", "stats", sys.argv[1]]
+cli.main()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX signals")
+def test_interrupt_while_exiting_keeps_the_exit_code(tmp_path):
+    # the command's output and exit code stand, with nothing on stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", SIGNALLED_AT_EXIT, write_single_edge(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["edges"] == 1
+
+
 def test_convert_round_trips_are_stable(capsys, tmp_path):
     g6 = tmp_path / "g6.json"
     cli.run(["gen", "--family", "double-star", "--m", "6", "-o", str(g6)])
@@ -372,6 +407,10 @@ def test_convert_validates_instances(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "convert", str(bad))
     assert code == 0
     assert graph_from_json(json.loads(out)) == build_graph(3, 1, [(0, 1, 0)])
+    # converting a graph yields a hypergraph, which has no dot form
+    code, out, err = run_cli(capsys, "convert", "--format", "dot", write_single_edge(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: dot output applies to graphs") and err.count("\n") == 1
 
 
 def test_check_report_and_exit(capsys, tmp_path):

@@ -235,7 +235,7 @@ def test_brute_force_masks_ignore_vertex_ids():
 
 
 def _uncapped(graph):
-    best = solver._search(graph.colour_count, graph.edges, False)[0]
+    best = solver._walk(solver._tables(graph, False), False)[0]
     return len(best), frozenset(best)
 
 
@@ -330,12 +330,12 @@ def test_max_mode_node_budget(engine_nodes, order, seed):
 
 def test_cap_stops_max_mode_at_its_first_set_of_that_size():
     # five disjoint one-edge colours: uncapped, the search takes all five
-    edges = [(2 * i, 2 * i + 1, i) for i in range(5)]
-    assert solver._search(5, edges, False) == ([0, 1, 2, 3, 4], 6)
-    assert solver._search(5, edges, False, cap=2) == ([0, 1], 3)
+    tables = solver._tables(build_graph(10, 5, [(2 * i, 2 * i + 1, i) for i in range(5)]), False)
+    assert solver._walk(tables, False) == ([0, 1, 2, 3, 4], 6)
+    assert solver._walk(tables, False, cap=2) == ([0, 1], 3)
     # the order-10 square: its first set of 9 edges is the uncapped witness
     g = latin_square(10, 0)
-    best, nodes = solver._search(10, g.edges, False, cap=9)
+    best, nodes = solver._walk(solver._tables(g, False), False, cap=9)
     assert (len(best), frozenset(best)) == _uncapped(g)
     assert nodes == 20
 
@@ -345,7 +345,7 @@ def test_max_mode_builds_its_tables_once(monkeypatch, engine_nodes):
     tables = solver._tables
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[0].colour_count)
         return tables(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_tables", counted)
@@ -374,7 +374,7 @@ def test_one_plan_reads_every_colouring_of_its_edges(colour_count):
         rng.shuffle(colours)
         g = build_graph(10**6, colour_count, [(u, v, c) for (u, v), c in zip(pairs, colours)])
         for must_pick in rng.sample([False, True], 2):
-            assert read(colours, must_pick) == solver._tables(colour_count, g.edges, must_pick)
+            assert read(colours, must_pick) == solver._tables(g, must_pick)
         profiles.add(tuple(sorted(map(colours.count, range(colour_count)))))
     assert colour_count == 1 or len(profiles) > 1
 
@@ -397,7 +397,7 @@ def test_colour_counts_that_fill_the_depth_field(colours):
         edges += [(*rng.sample(range(n), 2), c) for c in range(colours) if rng.random() < 0.5]
         g = build_graph(n, colours, edges)
         # every depth from 0 to colours fits below the vertex bits
-        for layer in solver._tables(colours, g.edges, False)[0]:
+        for layer in solver._tables(g, False)[0]:
             assert all(vertices % 2 ** colours.bit_length() == 1 for _, vertices, _ in layer)
         count, first = count_full_rainbow(g)
         outcome = find_full_rainbow_matching(g)
