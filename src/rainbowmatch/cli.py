@@ -218,10 +218,13 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     )
     skip: set[str] = set()
     if args.resume is not None:
+        overwrites = args.output not in (None, "-") and os.path.exists(args.output)
+        if overwrites and os.path.samefile(args.resume, args.output):
+            raise ValueError(f"--output would overwrite the --resume file {args.resume}")
         with open(args.resume, "r", encoding="utf-8") as handle:
             skip = hunting.read_certified_forms(handle)
     outcome = hunting.hunt(spec, jobs=args.jobs, skip_forms=skip, brute_limit=_brute_limit())
-    lines = [_dumps(hunting.result_record(result)) for result in outcome.results]
+    lines = [hunting.result_line(result) for result in outcome.results]
     lines.append(_dumps(hunting.summary_record(outcome, spec)))
     _write_output(args.output, "".join(lines))
     return EXIT_OK

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
@@ -94,7 +95,7 @@ def build_graph(
     return ColouredMultigraph(
         vertex_count=vertex_count,
         colour_count=colour_count,
-        edges=tuple(Edge(u, v, colour) for (u, v, colour) in edges),
+        edges=tuple(starmap(Edge, edges)),
     )
 
 

@@ -51,7 +51,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import ColouredMultigraph, build_graph, colour_stats, graph_to_json, is_bipartite
+from .graphs import ColouredMultigraph, build_graph, is_bipartite
 from .hypergraphs import DegreeStats
 from .solver import DEFAULT_BRUTE_LIMIT, _plan, _walk, brute_force_full_rainbow
 
@@ -66,7 +66,7 @@ __all__ = [
     "canonical_label",
     "graph_from_cycle_colouring",
     "hunt",
-    "result_record",
+    "result_line",
     "summary_record",
     "read_certified_forms",
     "MalformedRecordError",
@@ -647,24 +647,21 @@ def _work_units(spec: SearchSpec) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph, stats: DegreeStats) -> None:
     # Independent re-validation of every emitted instance, and of the degree
-    # statistics the hunter read off its colour string.
+    # statistics the hunter read off its colour string, in one pass over the edges.
     degree = [0] * graph.vertex_count
-    for e in graph.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
-    if any(d != 2 for d in degree):
+    sizes = [0] * graph.colour_count
+    for u, v, colour in graph.edges:
+        degree[u] += 1
+        degree[v] += 1
+        sizes[colour] += 1
+    if degree.count(2) != len(degree):
         raise RuntimeError("emitted instance is not 2-regular")
     if spec.require_bipartite and not is_bipartite(graph):
         raise RuntimeError("emitted instance is not bipartite")
-    classes = colour_stats(graph)
-    sizes = classes.multiplicities.values()
-    if spec.class_size_is_minimum:
-        ok = all(s >= spec.colour_class_size for s in sizes)
-    else:
-        ok = all(s == spec.colour_class_size for s in sizes)
-    if not ok:
+    size, minimum = spec.colour_class_size, spec.class_size_is_minimum
+    if min(sizes, default=size) < size or not minimum and max(sizes, default=size) > size:
         raise RuntimeError("emitted instance violates the colour class size constraint")
-    if stats != DegreeStats(classes.minimum, max(degree, default=0)):
+    if stats != DegreeStats(min(sizes, default=0), max(degree, default=0)):
         raise RuntimeError("emitted instance's degree statistics differ from its graph's")
 
 
@@ -829,20 +826,21 @@ def hunt(
 
 # --- JSON-lines persistence ---------------------------------------------------
 
-def result_record(result: SearchResult) -> dict:
-    return {
-        "type": "result",
-        "canonical": result.canonical_form,
-        "shape": list(result.shape),
-        "edges_total": sum(result.shape),
-        "delta_v1": result.stats.delta_v1,
-        "delta_max_rest": result.stats.delta_max_rest,
-        "certificate": {
-            "combinations": result.certificate.combinations,
-            "matchings": result.certificate.matchings,
-        },
-        "instance": graph_to_json(result.instance),
-    }
+def result_line(result: SearchResult) -> str:
+    """The result's JSON record as one line, byte for byte ``json.dumps`` with
+    compact separators but built without a dict: every value is a non-negative
+    int and the canonical form holds only digits and ``,|:``, so nothing is escaped."""
+    graph, stats, certificate = result.instance, result.stats, result.certificate
+    return (
+        '{"type":"result","canonical":"%s","shape":[%s],"edges_total":%d,'
+        '"delta_v1":%d,"delta_max_rest":%d,"certificate":{"combinations":%d,"matchings":%d},'
+        '"instance":{"vertices":%d,"colours":%d,"edges":[%s]}}\n'
+    ) % (
+        result.canonical_form, ",".join(map(str, result.shape)), sum(result.shape),
+        stats.delta_v1, stats.delta_max_rest, certificate.combinations, certificate.matchings,
+        graph.vertex_count, graph.colour_count,
+        ",".join(['{"u":%d,"v":%d,"colour":%d}' % edge for edge in graph.edges]),
+    )
 
 
 def summary_record(outcome: HuntOutcome, spec: SearchSpec) -> dict:

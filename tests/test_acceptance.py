@@ -26,7 +26,7 @@ from rainbowmatch import (
     hunt,
     max_degree,
 )
-from rainbowmatch.hunting import read_certified_forms, result_record, summary_record
+from rainbowmatch.hunting import read_certified_forms, result_line, summary_record
 from conftest import count_full_rainbow, random_graph, random_threshold_hypergraph
 
 import pytest
@@ -135,7 +135,7 @@ def test_criterion_7_two_regular_gap_witness(tmp_path):
     archive = tmp_path / "delta_gap_hunt.jsonl"
     with archive.open("w", encoding="utf-8") as handle:
         for result in outcome.results:
-            handle.write(json.dumps(result_record(result)) + "\n")
+            handle.write(result_line(result))
         handle.write(json.dumps(summary_record(outcome, spec)) + "\n")
     assert outcome.results, "a 12-edge witness exists; the sweep must find it"
     for result in outcome.results:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmatch import cli, graph_from_json, graph_to_json, is_full_rainbow
+from rainbowmatch import cli, graph_from_json, graph_to_json, hunting, is_full_rainbow
 from rainbowmatch.graphs import build_graph
 
 
@@ -465,6 +465,25 @@ def test_hunt_resume(capsys, tmp_path):
     lines = [json.loads(line) for line in out.splitlines()]
     assert [r["type"] for r in lines] == ["summary"]
     assert lines[0]["skipped_known"] == 1
+
+
+def test_hunt_refuses_to_write_over_its_resume_file(capsys, tmp_path, monkeypatch):
+    # the new run's output leaves out the finds it skips, so writing it over
+    # the resumed file would lose them
+    records = tmp_path / "records.jsonl"
+    assert cli.run(["hunt", "--class-size", "2", "--max-edges", "6", "-o", str(records)]) == 0
+    before = records.read_bytes()
+    os.link(records, tmp_path / "link.jsonl")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hunting, "hunt", lambda *args, **kwargs: pytest.fail("the sweep started"))
+    capsys.readouterr()
+    for output in (str(records), "records.jsonl", "link.jsonl"):
+        code, out, err = run_cli(
+            capsys, "hunt", "--class-size", "2", "--max-edges", "8", "--resume", str(records), "-o", output
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --output would overwrite the --resume file {records}\n"
+    assert records.read_bytes() == before
 
 
 @pytest.mark.parametrize(

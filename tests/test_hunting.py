@@ -22,7 +22,8 @@ from rainbowmatch import (
     max_degree,
 )
 from rainbowmatch import hunting, solver
-from rainbowmatch.hunting import read_certified_forms, result_record, summary_record
+from rainbowmatch.graphs import build_graph, graph_to_json
+from rainbowmatch.hunting import read_certified_forms, result_line, summary_record
 from rainbowmatch.hypergraphs import DegreeStats
 from rainbowmatch.solver import DEFAULT_BRUTE_LIMIT
 
@@ -682,9 +683,7 @@ def test_stopped_pool_leaves_no_worker():
 def test_hunt_resume_skips_certified_forms():
     spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
     first = hunt(spec)
-    stream = io.StringIO(
-        "".join(json.dumps(result_record(r)) + "\n" for r in first.results)
-    )
+    stream = io.StringIO("".join(result_line(r) for r in first.results))
     forms = read_certified_forms(stream)
     assert forms == {"4:0,1,0,1"}
     second = hunt(spec, skip_forms=forms)
@@ -695,7 +694,7 @@ def test_hunt_resume_skips_certified_forms():
 def test_records_round_trip():
     spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
     outcome = hunt(spec)
-    record = result_record(outcome.results[0])
+    record = json.loads(result_line(outcome.results[0]))
     assert record["type"] == "result"
     assert record["canonical"] == "4:0,1,0,1"
     assert record["shape"] == [4]
@@ -705,6 +704,37 @@ def test_records_round_trip():
     assert summary["type"] == "summary"
     assert summary["results"] == 1
     assert summary["exhausted"] is True
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(12, 2),
+        SearchSpec(12, 3, require_bipartite=True, require_delta_gap=True),
+    ],
+    ids=["general-2", "bipartite-3-gap"],
+)
+def test_result_line_is_the_compact_json_of_the_record(spec):
+    # the record built as a dict, independently of result_line's format
+    outcome = hunt(spec)
+    assert outcome.results
+    for result in outcome.results:
+        expected = {
+            "type": "result",
+            "canonical": result.canonical_form,
+            "shape": list(result.shape),
+            "edges_total": sum(result.shape),
+            "delta_v1": result.stats.delta_v1,
+            "delta_max_rest": result.stats.delta_max_rest,
+            "certificate": {
+                "combinations": result.certificate.combinations,
+                "matchings": result.certificate.matchings,
+            },
+            "instance": graph_to_json(result.instance),
+        }
+        assert result_line(result) == json.dumps(expected, separators=(",", ":")) + "\n"
+    lines = io.StringIO("".join(map(result_line, outcome.results)))
+    assert read_certified_forms(lines) == {r.canonical_form for r in outcome.results}
 
 
 def test_graph_from_cycle_colouring_layout():
@@ -772,6 +802,36 @@ def test_recheck_structure_compares_degree_statistics():
     for stats in (DegreeStats(1, 2), DegreeStats(2, 3), DegreeStats(3, 2)):
         with pytest.raises(RuntimeError, match="degree statistics"):
             hunting._recheck_structure(spec, graph, stats)
+
+
+def test_recheck_structure_rejects_a_graph_that_is_not_2_regular():
+    spec = SearchSpec(max_edges=4, colour_class_size=2)
+    # a path 0-1-2: its ends have degree 1
+    graph = build_graph(3, 1, [(0, 1, 0), (1, 2, 0)])
+    with pytest.raises(RuntimeError, match="not 2-regular"):
+        hunting._recheck_structure(spec, graph, DegreeStats(2, 2))
+
+
+def test_recheck_structure_rejects_an_odd_cycle_when_bipartite():
+    graph = graph_from_cycle_colouring((3, 3), (0, 1, 2, 0, 1, 2), 3)
+    hunting._recheck_structure(SearchSpec(6, 2), graph, DegreeStats(2, 2))
+    with pytest.raises(RuntimeError, match="not bipartite"):
+        hunting._recheck_structure(SearchSpec(6, 2, require_bipartite=True), graph, DegreeStats(2, 2))
+
+
+@pytest.mark.parametrize("minimum", [False, True], ids=["exact", "minimum"])
+def test_recheck_structure_rejects_a_class_below_the_class_size(minimum):
+    graph = graph_from_cycle_colouring((4,), (0, 1, 0, 1), 2)
+    spec = SearchSpec(max_edges=4, colour_class_size=3, class_size_is_minimum=minimum)
+    with pytest.raises(RuntimeError, match="colour class size constraint"):
+        hunting._recheck_structure(spec, graph, DegreeStats(2, 2))
+
+
+def test_recheck_structure_bounds_an_exact_class_size_from_above():
+    graph = graph_from_cycle_colouring((4,), (0, 1, 0, 1), 2)
+    hunting._recheck_structure(SearchSpec(4, 1, class_size_is_minimum=True), graph, DegreeStats(2, 2))
+    with pytest.raises(RuntimeError, match="colour class size constraint"):
+        hunting._recheck_structure(SearchSpec(4, 1), graph, DegreeStats(2, 2))
 
 
 @pytest.mark.parametrize(
