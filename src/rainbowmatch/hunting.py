@@ -13,15 +13,16 @@ quotients out colour renaming) by orderly generation: canonicity is tested on
 prefixes while generating, and a prefix that can no longer begin a canonical
 string is cut with all its completions (Read, "Every one a winner", 1978;
 McKay, "Isomorph-free exhaustive generation", 1998).  The prefix tests are
-incremental.  Each completed cycle keeps the colour maps under which some
-arrangement of the cycles so far reads exactly as the prefix.  Against the
-rotations and reflections of the cycle being filled, under each of those
-maps, each position keeps the ones that still tie with the prefix, so a new
-slot costs about one comparison per tied pair, and a completed cycle reads
-each of them on only through the positions it has not compared.  A cycle of
-a length seen before is also read into the earlier slots of that length,
-from the arrangements kept for the slot before.  A string that survives its
-last cycle is kept, with no separate test.
+incremental.  Each completed cycle but the last keeps the colour maps under
+which some arrangement of the cycles so far reads exactly as the prefix (the
+last cycle is only tested).  Against the rotations and reflections of the
+cycle being filled, under each of those maps, each position keeps the ones
+that still tie with the prefix, so a new slot costs about one comparison per
+tied pair, and a completed cycle reads each of them on only through the
+positions it has not compared.  A cycle of a length seen before is also
+read into the earlier slots of that length, from the arrangements kept for
+the slot before.  A string that survives its last cycle is kept, with no
+separate test.
 ``candidates_examined`` counts every string in the space, whether it was
 tested whole or cut with its prefix; the count comes from a formula
 (:func:`_space_size`), not from a walk.
@@ -283,10 +284,10 @@ def _orderly_strings(
     after all smaller colours have, which quotients out colour renaming)
     with every class of exactly ``class_size`` edges, or at least that many
     with ``minimum``.  This is orderly generation: a prefix is extended only
-    while it can still begin a canonical string.  Each completed cycle keeps
-    its colour maps: the renamings under which some arrangement of the cycles
-    so far reads exactly as the prefix, identity first.  A prefix is rejected
-    when
+    while it can still begin a canonical string.  Each completed cycle but
+    the last keeps its colour maps: the renamings under which some
+    arrangement of the cycles so far reads exactly as the prefix, identity
+    first.  A prefix is rejected when
 
     (a) it has just completed a cycle that an earlier cycle's slot can take,
         and some arrangement that moves it there, with the cycles so far in
@@ -317,11 +318,11 @@ def _orderly_strings(
     give its maps.  Every reading names a symbol from arrays: by the map
     when an earlier cycle has it, by the known symbol where the reading met
     it before, and otherwise by the next new name.  For case (a) each
-    completed cycle keeps the survivors of each slot (the cycles placed up
-    to it and the map under which they read as the prefix), as in the beam
-    of :func:`_beam_minimum`; a completed cycle is read only into the
-    earlier slots its length allows, from the survivors of the slot before,
-    and then on with the cycles left (McKay, 1998).
+    completed cycle but the last keeps the survivors of each slot (the
+    cycles placed up to it and the map under which they read as the
+    prefix), as in the beam of :func:`_beam_minimum`; a completed cycle is
+    read only into the earlier slots its length allows, from the survivors
+    of the slot before, and then on with the cycles left (McKay, 1998).
 
     With an exact class size of 1 the space is the one string that names
     every position afresh, and it is canonical, so it is returned with no
@@ -430,7 +431,9 @@ def _orderly_strings(
         # case (b) round the cycle: each tied reading reads on through the
         # positions it has not compared; each that ties names the cycle's new
         # colours by the known symbols where it reads their latest positions,
-        # which extends its map to a colour map of the cycles so far
+        # which extends its map to a colour map of the cycles so far (but
+        # nothing reads the last cycle's maps or survivors: it only compares)
+        final = cycle == len(shape) - 1
         length = shape[cycle]
         new = range(fresh, top[position] + 1)
         found = {maps[cycle][0] + tuple(new): None}
@@ -452,7 +455,8 @@ def _orderly_strings(
                         return True
                     break
             else:
-                found[renamed + tuple(current[start + (last[c] - wrap) % length] for c in new)] = None
+                if not final:
+                    found[renamed + tuple(current[start + (last[c] - wrap) % length] for c in new)] = None
         for p in range(start, position + 1):
             span = p + position + 1
             for renamed in mirror[p]:
@@ -472,7 +476,8 @@ def _orderly_strings(
                             return True
                         break
                 else:
-                    found[renamed + tuple(current[start + (p - last[c]) % length] for c in new)] = None
+                    if not final:
+                        found[renamed + tuple(current[start + (p - last[c]) % length] for c in new)] = None
         if not (keeps[cycle] or same[cycle][0] < cycle):
             maps[cycle + 1] = list(found)
             return False
@@ -513,8 +518,10 @@ def _orderly_strings(
                             break
                     else:
                         frontier[used, tuple(names)] = None
-            if slot < cycle:
+            if slot < cycle and not final:
                 slots[slot] = slots[slot] + list(frontier)
+        if final:
+            return False
         found.update(dict.fromkeys(renamed[: top[position] + 1] for _, renamed in frontier))
         maps[cycle + 1] = list(found)
         kept[cycle] = slots + [[((2 << cycle) - 1, (*m, *unnamed[len(m) :])) for m in found]]

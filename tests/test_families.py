@@ -4,14 +4,17 @@ import pytest
 
 from rainbowmatch import (
     STATEMENTS,
+    SolveOutcome,
     bipartition,
     brute_force_full_rainbow,
+    build_graph,
     colour_stats,
     conjecture_report,
     constant_defeater,
     cyclic_latin_square,
     degree_stats,
     double_star_family,
+    families,
     find_full_rainbow_matching,
     hypergraph_family,
     is_full_rainbow,
@@ -145,6 +148,19 @@ def test_report_never_flags_the_theorem():
     for _ in range(120):
         report = conjecture_report(random_bipartite_graph(rng))
         assert not report.statements["AB-Thm-2.6"].is_counterexample
+
+
+def test_report_catches_a_solver_that_contradicts_the_theorem(monkeypatch):
+    # four disjoint edges of colour 0: multiplicity 4 >= 2 x maximum degree
+    # 1, and bipartite, so AB-Thm-2.6 promises a matching; a solver that
+    # finds none is broken
+    graph = build_graph(8, 1, [(2 * i, 2 * i + 1, 0) for i in range(4)])
+    assert find_full_rainbow_matching(graph).matching is not None
+    monkeypatch.setattr(
+        families, "find_full_rainbow_matching", lambda graph: SolveOutcome(None, 1, True)
+    )
+    with pytest.raises(RuntimeError, match="solver defect"):
+        conjecture_report(graph)
 
 
 def test_constant_defeater_margins():

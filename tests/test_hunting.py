@@ -795,6 +795,20 @@ def test_engine_and_brute_force_disagreement_is_caught(monkeypatch):
         hunting._examine_unit((spec, (4,), 2, frozenset(), DEFAULT_BRUTE_LIMIT))
 
 
+def test_a_find_against_the_2_delta_threshold_is_caught(monkeypatch):
+    # one colour on all four edges of a 4-cycle: delta(V1) = 4 >= 2 * Delta,
+    # so the proved threshold forbids a block; an engine and an oracle that
+    # both call it blocked are wrong together, and the guard catches them
+    monkeypatch.setattr(hunting, "_walk", lambda *args, **kwargs: (None, 1))
+    monkeypatch.setattr(
+        hunting,
+        "brute_force_full_rainbow",
+        lambda graph, limit: (solver.SolveOutcome(None, 1, True), 0),
+    )
+    with pytest.raises(RuntimeError, match="2\\*Delta found: 4:0,0,0,0"):
+        hunting._examine_unit((SearchSpec(4, 4), (4,), 1, frozenset(), DEFAULT_BRUTE_LIMIT))
+
+
 def test_recheck_structure_compares_degree_statistics():
     spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
     graph = graph_from_cycle_colouring((4,), (0, 1, 0, 1), 2)

@@ -267,6 +267,9 @@ def test_json_round_trip():
 
 
 def test_json_rejects_malformed():
+    for not_an_object in ([], 3):
+        with pytest.raises(InvalidInstanceError, match="must be an object"):
+            hypergraph_from_json(not_an_object)
     with pytest.raises(InvalidInstanceError):
         hypergraph_from_json({"v1": 1, "v2": 1, "v3": 1, "tripartite": True})
     with pytest.raises(InvalidInstanceError):
