@@ -33,7 +33,6 @@ from .hypergraphs import (
     has_v1_matching,
     hypergraph_from_json,
     hypergraph_to_json,
-    solve_v1_matching,
 )
 from .solver import (
     DEFAULT_BRUTE_LIMIT,

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 from . import families, hunting, hypergraphs, solver
 from .graphs import (
+    ColouredMultigraph,
     InvalidInstanceError,
     colour_stats,
     graph_from_json,
@@ -63,6 +64,12 @@ def _write_output(path: Optional[str], text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _write_graph(args: argparse.Namespace, graph: ColouredMultigraph) -> None:
+    """Write a graph in the ``--format`` of ``gen`` or ``convert``."""
+    text = graph_to_dot(graph) if args.format == "dot" else _dumps(graph_to_json(graph))
+    _write_output(args.output, text)
 
 
 class _MalformedJSONError(ValueError):
@@ -112,22 +119,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     size = getattr(args, option)
     if size is None:
         raise ValueError(f"gen --family {args.family} requires --{option}")
-    graph = generate(size)
-    if args.format == "dot":
-        _write_output(args.output, graph_to_dot(graph))
-    else:
-        _write_output(args.output, _dumps(graph_to_json(graph)))
+    _write_graph(args, generate(size))
     return EXIT_OK
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     if isinstance(instance, hypergraphs.TripartiteHypergraph):
-        graph = hypergraphs.as_coloured_graph(instance)
-        if args.format == "dot":
-            _write_output(args.output, graph_to_dot(graph))
-        else:
-            _write_output(args.output, _dumps(graph_to_json(graph)))
+        _write_graph(args, hypergraphs.as_coloured_graph(instance))
     else:
         if args.format == "dot":
             raise ValueError("dot output applies to graphs; converting a graph yields a hypergraph")

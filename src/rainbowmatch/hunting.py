@@ -349,13 +349,12 @@ def _orderly_strings(
     # colours used before each cycle, recorded when its first slot is filled
     base = [0] * len(shape)
     # per colour: its first and latest position; per filled position: the
-    # previous position of its colour (-1 if none), the highest colour so
-    # far (at least base - 1), the (colour map, rotation offset from the
-    # cycle's start) pairs whose reading still equals the known part, and
-    # the maps under which the reflection starting there equals it
+    # highest colour so far (at least base - 1), the (colour map, rotation
+    # offset from the cycle's start) pairs whose reading still equals the
+    # known part, and the maps under which the reflection starting there
+    # equals it
     first = [0] * colours
     last = [-1] * colours
-    previous = [-1] * total
     top = [0] * total
     tied: list[list[tuple[tuple[int, ...], int]]] = [[]] * total
     mirror: list[list[tuple[int, ...]]] = [[]] * total
@@ -368,8 +367,9 @@ def _orderly_strings(
     kept: list[list[list[tuple[int, tuple[int, ...]]]]] = [[]] * len(shape)
     unnamed = (-1,) * colours
 
-    def rejected(position: int) -> bool:
-        # the prefix up to position, whose slot was just filled
+    def rejected(position: int, earlier: int) -> bool:
+        # the prefix up to position, whose slot was just filled; earlier is
+        # the previous position of its colour (-1 if none)
         cycle, start, symbol = cycle_of[position], start_of[position], current[position]
         fresh = base[cycle]
         # case (b): the rotation and the reflection starting at the new slot
@@ -386,7 +386,6 @@ def _orderly_strings(
         # the new symbol as each tied pair reads it, against the known symbol
         # its rotation places before it
         still = []
-        earlier = previous[position]
         for renamed, i in tied[position - 1] if position > start else ():
             if symbol < fresh:
                 value = renamed[symbol]
@@ -547,12 +546,12 @@ def _orderly_strings(
                 continue
             counts[colour] = count + 1
             current[position] = colour
-            previous[position] = earlier = last[colour]
+            earlier = last[colour]
             if earlier < 0:
                 first[colour] = position
             last[colour] = position
             top[position] = colour if colour > used else used
-            if not rejected(position):
+            if not rejected(position, earlier):
                 yield from extend(position + 1, top[position], short - filling)
             last[colour] = earlier
             counts[colour] = count

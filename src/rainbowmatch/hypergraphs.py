@@ -8,18 +8,24 @@ bipartite the hypergraph is tripartite with V2 and V3 the two sides;
 otherwise V2 is one merged pool of G's vertices.
 
 The hypergraph is an input and output format.  :func:`from_coloured_graph`
-is the one way in and :func:`as_coloured_graph` the one way back, and the
-V1-matching solvers run on that graph view.
+is the one way in and :func:`as_coloured_graph` the one way back, and
+:func:`degree_stats` and :func:`has_v1_matching` read that graph view.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import solver
-from .graphs import ColouredMultigraph, InvalidInstanceError, _sides, build_graph
+from .graphs import (
+    ColouredMultigraph,
+    InvalidInstanceError,
+    _sides,
+    build_graph,
+    colour_stats,
+    max_degree,
+)
 
 __all__ = [
     "TripartiteHypergraph",
@@ -28,7 +34,6 @@ __all__ = [
     "as_coloured_graph",
     "degree_stats",
     "has_v1_matching",
-    "solve_v1_matching",
     "hypergraph_to_json",
     "hypergraph_from_json",
 ]
@@ -150,40 +155,23 @@ def as_coloured_graph(
 def degree_stats(hypergraph: TripartiteHypergraph) -> DegreeStats:
     """Minimum triple-degree over V1, maximum over the remaining vertices.
 
-    Degenerate empty classes report 0.  Outside V1 only the vertices that a
-    triple touches are counted, so the cost does not grow with ``v2_count``
-    or ``v3_count``.
+    Read off the graph view: V1 vertex a is colour a, whose degree is its
+    class size, and the other vertices are the graph's.  Degenerate empty
+    classes report 0, and the cost does not grow with ``v2_count`` or
+    ``v3_count``.
     """
-    # every V1 vertex is in some triple, so this is no longer than the triples
-    v1_degree = [0] * hypergraph.v1_count
-    offset = hypergraph.v2_count if hypergraph.tripartite else 0
-    rest_degree: Counter[int] = Counter()
-    for a, b, c in hypergraph.triples:
-        v1_degree[a] += 1
-        rest_degree[b] += 1
-        rest_degree[offset + c] += 1
-    return DegreeStats(
-        delta_v1=min(v1_degree) if v1_degree else 0,
-        delta_max_rest=max(rest_degree.values(), default=0),
-    )
-
-
-def solve_v1_matching(hypergraph: TripartiteHypergraph) -> solver.SolveOutcome:
-    """Full solve outcome for the V1-matching decision (indices are triples).
-
-    The graph solver runs on :func:`as_coloured_graph` of the hypergraph,
-    whose edge indices coincide with triple indices.
-    """
-    return solver.find_full_rainbow_matching(as_coloured_graph(hypergraph))
+    graph = as_coloured_graph(hypergraph)
+    return DegreeStats(colour_stats(graph).minimum, max_degree(graph))
 
 
 def has_v1_matching(hypergraph: TripartiteHypergraph) -> Optional[frozenset[int]]:
     """A matching covering every V1 vertex exactly once, or None.
 
-    The result is a set of triple indices, deterministic for a given input
-    (ties broken towards lower indices).
+    The result is a set of triple indices, which are the edge indices of the
+    graph view, deterministic for a given input (ties broken towards lower
+    indices).
     """
-    return solve_v1_matching(hypergraph).matching
+    return solver.find_full_rainbow_matching(as_coloured_graph(hypergraph)).matching
 
 
 # --- serialization -----------------------------------------------------------

@@ -18,7 +18,6 @@ from rainbowmatch import (
     from_coloured_graph,
     has_v1_matching,
     hypergraph_family,
-    solve_v1_matching,
     hypergraph_from_json,
     hypergraph_to_json,
     max_degree,
@@ -128,16 +127,21 @@ def test_degree_stats_single_edge(single_edge):
 
 
 def test_degree_stats_match_graph_statistics():
-    # check, stats and the hunter read delta(V1) and Delta(V2 u V3) off the
-    # graph; this pins that identity against the hypergraph-side definition
+    # degree_stats reads the graph view; this pins it against the degrees
+    # counted over the triples themselves, and against the graph statistics
+    # that check, stats and the hunter read
     rng = random.Random(912)
     graphs = [random_bipartite_graph(rng) for _ in range(100)]
     graphs += [random_graph(rng) for _ in range(100)]
     graphs += [build_graph(n, 0, []) for n in (0, 1, 5)]
     for g in graphs:
-        stats = degree_stats(from_coloured_graph(g))
-        assert stats.delta_v1 == colour_stats(g).minimum
-        assert stats.delta_max_rest == max_degree(g)
+        hypergraph = from_coloured_graph(g)
+        v1_degree = Counter(a for a, _, _ in hypergraph.triples)
+        offset = hypergraph.v2_count if hypergraph.tripartite else 0
+        rest_degree = Counter(v for _, b, c in hypergraph.triples for v in (b, offset + c))
+        stats = degree_stats(hypergraph)
+        assert stats.delta_v1 == min(v1_degree.values(), default=0) == colour_stats(g).minimum
+        assert stats.delta_max_rest == max(rest_degree.values(), default=0) == max_degree(g)
 
 
 @pytest.mark.parametrize("tripartite", [True, False])
@@ -217,7 +221,7 @@ def test_merged_pool_solve_matches_pool_graph():
         hypergraph = from_coloured_graph(g)
         if hypergraph.tripartite:
             continue
-        outcome = solve_v1_matching(hypergraph)
+        outcome = find_full_rainbow_matching(as_coloured_graph(hypergraph))
         assert outcome == find_full_rainbow_matching(g)
 
 
