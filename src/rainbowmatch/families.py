@@ -11,7 +11,7 @@ with them the only edges of that component's colour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import ColouredMultigraph, build_graph, colour_stats, is_bipartite, max_degree
 from .hypergraphs import TripartiteHypergraph, from_coloured_graph
@@ -52,8 +52,7 @@ NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class StatementOutcome:
+class StatementOutcome(NamedTuple):
     hypothesis_holds: bool
     conclusion_holds: bool
 
@@ -62,8 +61,7 @@ class StatementOutcome:
         return self.hypothesis_holds and not self.conclusion_holds
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Per-statement evaluation of one instance, with the raw statistics used."""
 
     max_degree: int

@@ -50,7 +50,7 @@ import math
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import ColouredMultigraph, build_graph, is_bipartite
 from .hypergraphs import DegreeStats
@@ -105,16 +105,14 @@ class SearchSpec:
             raise ValueError("stop_after must be at least 1 when given")
 
 
-@dataclass(frozen=True)
-class AbsenceCertificate:
+class AbsenceCertificate(NamedTuple):
     """Record of a completed brute-force enumeration finding zero matchings."""
 
     combinations: int
     matchings: int
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     instance: ColouredMultigraph
     shape: tuple[int, ...]
     stats: DegreeStats
@@ -122,8 +120,7 @@ class SearchResult:
     canonical_form: str
 
 
-@dataclass(frozen=True)
-class HuntOutcome:
+class HuntOutcome(NamedTuple):
     """Findings of one hunt plus the bookkeeping that makes it a certificate.
 
     ``exhausted`` is True when every work unit in the space was examined; an

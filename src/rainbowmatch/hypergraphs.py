@@ -15,7 +15,7 @@ is the one way in and :func:`as_coloured_graph` the one way back, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import solver
 from .graphs import (
@@ -84,8 +84,7 @@ class TripartiteHypergraph:
         return len(self.triples)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Minimum degree over V1 and maximum degree over everything else."""
 
     delta_v1: int

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import ColouredMultigraph
+from .graphs import ColouredMultigraph, is_full_rainbow, verify_matching
 
 __all__ = [
     "SolveOutcome",
@@ -38,8 +37,7 @@ class BruteForceLimitError(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Result of one solve: a witness matching, or a certified absence.
 
     ``exhaustive`` is True when the whole search space was covered, which is
@@ -274,18 +272,37 @@ def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Op
     return (None if must_pick else best), nodes
 
 
+def _checked(graph: ColouredMultigraph, witness: list[int], full: bool) -> frozenset[int]:
+    """The engine's witness as a set, once the graph module's predicates,
+    which share no code with the engine, accept it: a matching with
+    pairwise distinct colours, and one edge of every colour when ``full``.
+    A witness that fails raises RuntimeError, as a disagreement between the
+    engine and the brute-force oracle does.
+    """
+    if full:
+        valid = is_full_rainbow(graph, witness)
+    else:
+        valid = verify_matching(graph, witness) and len(
+            {graph.edges[i].colour for i in witness}
+        ) == len(witness)
+    if not valid:
+        raise RuntimeError(f"the engine returned an invalid witness {sorted(witness)}")
+    return frozenset(witness)
+
+
 def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
     """Decide by complete backtracking whether a full rainbow matching exists.
 
     Returns a witness (as edge indices) when one exists; otherwise absence is
-    certified by exhausting the pruned search tree.  The empty graph has the
-    empty matching: with no colours the requirement is vacuous.
+    certified by exhausting the pruned search tree.  A witness is checked
+    with :func:`graphs.is_full_rainbow` before it is returned.  The empty
+    graph has the empty matching: with no colours the requirement is vacuous.
     ``nodes_explored`` counts the search nodes entered; states skipped as
     already refuted are not nodes.
     """
     matching, nodes = _walk(_tables(graph, True), must_pick=True)
     return SolveOutcome(
-        matching=None if matching is None else frozenset(matching),
+        matching=None if matching is None else _checked(graph, matching, True),
         nodes_explored=nodes,
         exhaustive=matching is None,
     )
@@ -309,14 +326,17 @@ def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]
     in find mode's order, which differs only in trying no skips.  With no
     full set, the uncapped search would keep its first set of n - 1 edges,
     since it replaces the best set only by a strictly larger one.
+
+    Either set is checked before it is returned: a matching with pairwise
+    distinct colours, and full rainbow when find mode answers.
     """
     n = graph.colour_count
     tables = _tables(graph, must_pick=False)
     full, _ = _walk(tables, must_pick=True)
     if full is not None:
-        return n, frozenset(full)
+        return n, _checked(graph, full, True)
     best, _ = _walk(tables, must_pick=False, cap=n - 1)
-    return len(best), frozenset(best)
+    return len(best), _checked(graph, best, False)
 
 
 def brute_force_full_rainbow(

@@ -75,6 +75,30 @@ def test_max_rainbow_single_edge_and_empty(single_edge):
     assert max_rainbow_matching(build_graph(0, 0, [])) == (0, frozenset())
 
 
+# wrong witnesses on the four-cycle, whose edges 0-3 alternate colours 0 and 1
+WRONG_WITNESSES = {"shared vertex": [0, 1], "repeated colour": [0, 2], "missing colour": [1]}
+
+
+@pytest.mark.parametrize("witness", WRONG_WITNESSES.values(), ids=WRONG_WITNESSES)
+def test_a_wrong_engine_witness_is_caught(monkeypatch, four_cycle, witness):
+    # the engine answers in find mode: each set must be full rainbow
+    monkeypatch.setattr(solver, "_walk", lambda *args, **kwargs: (list(witness), 1))
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        find_full_rainbow_matching(four_cycle)
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        max_rainbow_matching(four_cycle)
+    # find mode finds nothing and the branch and bound answers: a set of
+    # fewer edges than colours passes when it is a rainbow matching
+    monkeypatch.setattr(
+        solver, "_walk", lambda tables, must_pick, cap=None: (None if must_pick else list(witness), 1)
+    )
+    if len(witness) < four_cycle.colour_count:
+        assert max_rainbow_matching(four_cycle) == (1, frozenset(witness))
+    else:
+        with pytest.raises(RuntimeError, match="invalid witness"):
+            max_rainbow_matching(four_cycle)
+
+
 def test_max_rainbow_witness_is_valid_rainbow():
     rng = random.Random(922)
     for _ in range(150):
