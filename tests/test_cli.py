@@ -624,10 +624,9 @@ def test_dot_conversion_allocates_nothing_per_isolated_vertex(capsys, tmp_path):
     ]
 
 
-def test_a_wrong_witness_ends_solve_with_one_line(capsys, tmp_path, monkeypatch):
+def test_a_wrong_witness_ends_solve_with_one_line(capsys, tmp_path, monkeypatch, four_cycle):
     path = tmp_path / "cycle.json"
-    cycle = build_graph(4, 2, [(0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 0, 1)])
-    path.write_text(json.dumps(graph_to_json(cycle)))
+    path.write_text(json.dumps(graph_to_json(four_cycle)))
     # edges 0 and 1 share vertex 1
     monkeypatch.setattr(cli.solver, "_walk", lambda *args, **kwargs: ([0, 1], 1))
     code, out, err = run_cli(capsys, "solve", str(path))
