@@ -60,10 +60,8 @@ from .hunting import (
     SearchSpec,
     canonical_colouring,
     canonical_label,
-    enumerate_colourings,
     graph_from_cycle_colouring,
     hunt,
-    is_canonical,
 )
 
 __version__ = "0.1.0"

@@ -30,9 +30,10 @@ tested whole or cut with its prefix; the count comes from a formula
 Each canonical string is examined from the string itself.  The find engine
 walks tables that the engine's own set-up reads off the string, from the
 unit's cycle endpoints, and the degree statistics are read off the string
-too.  Only a blocked string gets edge triples and a validated graph, on
-which the brute-force oracle and an independent structure check confirm the
-find.
+too.  Each witness the engine returns is checked against the string and
+the cycle endpoints: one position of every colour, no two sharing a vertex.
+Only a blocked string gets edge triples and a validated graph, on which the
+brute-force oracle and an independent structure check confirm the find.
 
 The sweep is lazy: work units are generated in sweep order as the hunt
 reaches them, so a hunt stopped by ``stop_after`` costs nothing for the
@@ -61,9 +62,7 @@ __all__ = [
     "SearchResult",
     "AbsenceCertificate",
     "HuntOutcome",
-    "enumerate_colourings",
     "canonical_colouring",
-    "is_canonical",
     "canonical_label",
     "graph_from_cycle_colouring",
     "hunt",
@@ -169,28 +168,21 @@ def _dihedral_transforms(block: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _beam_minimum(
-    shape: tuple[int, ...],
-    blocks: tuple[tuple[int, ...], ...],
-    target: Optional[tuple[tuple[int, ...], ...]] = None,
-) -> Optional[tuple[int, ...]]:
-    """Flattened lexicographic minimum of a cycle colouring over its orbit.
+def canonical_colouring(
+    shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Lexicographically minimal representative of a cycle colouring.
 
-    For a fixed geometric arrangement the best colour renaming is the
-    first-occurrence relabelling (colour 0 for the first symbol seen, and so
-    on), so the walk fills cycle slots left to right and keeps every
-    arrangement that still achieves the best prefix: a slot tries each unused
-    cycle of the right length under all its rotations and reflections,
-    relabels greedily, and only the extensions tied with the slot's best
-    segment survive.  Equal-length slots are interchangeable, which is exactly
-    the cycle-permutation part of the group.
-
-    Each candidate is compared with the slot's best segment element by
-    element and dropped at its first larger symbol.  Without ``target`` the
-    best segment of a slot starts out infinite, so the first candidate
-    replaces it.  With ``target`` it starts as the target's own segment, and
-    the walk returns None as soon as some arrangement goes below it: the
-    target is then not the minimum.
+    Minimises the flattened colour sequence over the full symmetry group:
+    per-cycle rotations and reflections, permutations of equal-length cycles,
+    and colour renaming.  For a fixed geometric arrangement the best colour
+    renaming is the first-occurrence relabelling (colour 0 for the first
+    symbol seen, and so on), so the walk fills cycle slots left to right and
+    keeps every arrangement that still achieves the best prefix: a slot tries
+    each unused cycle of the right length under all its rotations and
+    reflections, relabels greedily, and only the extensions tied with the
+    slot's best segment survive.  Equal-length slots are interchangeable,
+    which is exactly the cycle-permutation part of the group.
     """
     if len(blocks) != len(shape) or any(len(b) != n for b, n in zip(blocks, shape)):
         raise ValueError("colouring does not match shape")
@@ -199,68 +191,27 @@ def _beam_minimum(
     beam: list[tuple[frozenset[int], dict[int, int]]] = [(frozenset(), {})]
     transforms = [_dihedral_transforms(block) for block in blocks]
     out: list[int] = []
-    for slot, slot_length in enumerate(shape):
-        best = (math.inf,) * slot_length if target is None else target[slot]
+    for slot_length in shape:
+        best: Optional[tuple[int, ...]] = None
         survivors: dict[tuple, tuple[frozenset[int], dict[int, int]]] = {}
         for used, mapping in beam:
             for i, block in enumerate(blocks):
                 if i in used or len(block) != slot_length:
                     continue
                 for transformed in transforms[i]:
-                    if mapping.get(transformed[0], len(mapping)) > best[0]:
+                    if best is not None and mapping.get(transformed[0], len(mapping)) > best[0]:
                         continue  # above at its first symbol
                     new_map = mapping.copy()
-                    order = 0  # sign of segment - best on the prefix compared so far
-                    for symbol, reference in zip(transformed, best):
-                        value = new_map.get(symbol)
-                        if value is None:
-                            value = new_map[symbol] = len(new_map)
-                        if order:
-                            continue
-                        if value > reference:
-                            order = 1
-                            break
-                        if value < reference:
-                            if target is not None:
-                                return None
-                            order = -1
-                    if order > 0:
+                    segment = tuple(new_map.setdefault(symbol, len(new_map)) for symbol in transformed)
+                    if best is None or segment < best:
+                        best, survivors = segment, {}
+                    elif segment > best:
                         continue
-                    if order < 0:
-                        best = tuple(new_map[symbol] for symbol in transformed)
-                        survivors = {}
                     now_used = used | {i}
                     survivors[(now_used, tuple(sorted(new_map.items())))] = (now_used, new_map)
-        if not survivors:
-            # every arrangement lies above the target (only possible for
-            # symbols below 0), so the target is not the minimum either
-            return None
         out.extend(best)
         beam = list(survivors.values())
-    return tuple(out)
-
-
-def canonical_colouring(
-    shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically minimal representative of a cycle colouring.
-
-    Minimises the flattened colour sequence over the full symmetry group:
-    per-cycle rotations and reflections, permutations of equal-length cycles,
-    and colour renaming.
-    """
-    return _reshape(shape, _beam_minimum(shape, blocks))
-
-
-def is_canonical(shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether ``blocks`` is its own canonical colouring.
-
-    Same answer as ``canonical_colouring(shape, blocks) == blocks``, but the
-    search stops at the first arrangement whose segment beats the input's, so
-    a non-canonical input (the common case in a hunt) usually costs a few
-    symbol comparisons per slot instead of a full minimisation.
-    """
-    return _beam_minimum(shape, blocks, blocks) is not None
+    return _reshape(shape, tuple(out))
 
 
 def canonical_label(shape: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> str:
@@ -317,9 +268,10 @@ def _orderly_strings(
     it before, and otherwise by the next new name.  For case (a) each
     completed cycle but the last keeps the survivors of each slot (the
     cycles placed up to it and the map under which they read as the
-    prefix), as in the beam of :func:`_beam_minimum`; a completed cycle is
-    read only into the earlier slots its length allows, from the survivors
-    of the slot before, and then on with the cycles left (McKay, 1998).
+    prefix), as in the beam of :func:`canonical_colouring`; a completed
+    cycle is read only into the earlier slots its length allows, from the
+    survivors of the slot before, and then on with the cycles left (McKay,
+    1998).
 
     With an exact class size of 1 the space is the one string that names
     every position afresh, and it is canonical, so it is returned with no
@@ -618,22 +570,6 @@ def graph_from_cycle_colouring(
     return build_graph(sum(shape), colours, [(u, v, c) for (u, v), c in zip(pairs, flat)])
 
 
-def enumerate_colourings(
-    shape: tuple[int, ...], colours: int, class_size: int
-) -> Iterator[ColouredMultigraph]:
-    """All colourings of the shape with exact class multiplicities, one graph
-    per symmetry orbit (canonical representatives, in lexicographic order)."""
-    total = sum(shape)
-    if any(n < 3 for n in shape):
-        raise ValueError("cycle lengths must be at least 3")
-    if colours < 1 or class_size < 1 or colours * class_size != total:
-        raise ValueError(
-            f"infeasible colouring arithmetic: {colours} colours x {class_size} != {total} edges"
-        )
-    for flat in _orderly_strings(shape, colours, class_size, minimum=False):
-        yield graph_from_cycle_colouring(shape, flat, colours)
-
-
 # --- the hunt itself ---------------------------------------------------------
 
 def _work_units(spec: SearchSpec) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -683,13 +619,18 @@ def _examine_unit(
     is read: delta(V1) of the graph's hypergraph is its smallest colour
     class, which is the class size when that is exact and is otherwise
     counted off the string.  Delta(V2 u V3) is its largest vertex degree, 2.
-    Only a blocked orbit gets edge triples and a graph: a validated
-    :class:`ColouredMultigraph`, on which the brute-force oracle and
-    :func:`_recheck_structure` confirm the block independently.
+    The engine's witness for an orbit that is not blocked is checked, by
+    code it shares nothing with, against the string and the cycle
+    endpoints: its positions carry every colour once and share no vertex,
+    or RuntimeError is raised.  Only a blocked orbit gets edge triples and
+    a graph: a validated :class:`ColouredMultigraph`, on which the
+    brute-force oracle and :func:`_recheck_structure` confirm the block
+    independently.
     """
     spec, shape, colours, skip_forms, brute_limit = args
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
-    read = _plan(colours, _cycle_endpoints(shape))
+    pairs, total, palette = _cycle_endpoints(shape), sum(shape), list(range(colours))
+    read = _plan(colours, pairs)
     exact = DegreeStats(class_size, 2)
     results: list[SearchResult] = []
     orbits = skipped = 0
@@ -703,7 +644,17 @@ def _examine_unit(
             stats = DegreeStats(min(map(flat.count, range(colours))), 2)
         if spec.require_delta_gap and stats.delta_v1 <= stats.delta_max_rest:
             continue
-        if _walk(read(flat, True), must_pick=True)[0] is not None:
+        witness = _walk(read(flat, True), must_pick=True)[0]
+        if witness is not None:
+            # a position out of range has no ends, so two ends per position
+            # put every position in range and on vertices of its own; and
+            # their colours, sorted, are each colour once
+            ends = {end for p in witness if 0 <= p < total for end in pairs[p]}
+            if len(ends) != 2 * len(witness) or sorted(flat[p] for p in witness) != palette:
+                label = canonical_label(shape, _reshape(shape, flat))
+                raise RuntimeError(
+                    f"the engine returned an invalid witness {sorted(witness)} on {label}"
+                )
             continue
         label = canonical_label(shape, _reshape(shape, flat))
         graph = graph_from_cycle_colouring(shape, flat, colours)
@@ -726,7 +677,7 @@ def _examine_unit(
                 canonical_form=label,
             )
         )
-    size = _space_size(sum(shape), colours, class_size, minimum)
+    size = _space_size(total, colours, class_size, minimum)
     return results, size, orbits, skipped
 
 

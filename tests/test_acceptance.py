@@ -19,14 +19,14 @@ from rainbowmatch import (
     constant_defeater,
     degree_stats,
     double_star_family,
-    enumerate_colourings,
     find_full_rainbow_matching,
+    graph_from_cycle_colouring,
     has_v1_matching,
     hypergraph_family,
     hunt,
     max_degree,
 )
-from rainbowmatch.hunting import read_certified_forms, result_line, summary_record
+from rainbowmatch.hunting import _orderly_strings, read_certified_forms, result_line, summary_record
 from conftest import count_full_rainbow, random_graph, random_threshold_hypergraph
 
 import pytest
@@ -153,7 +153,9 @@ def test_criterion_7_two_regular_gap_witness(tmp_path):
 
 
 def test_criterion_8_minimal_blocked_instance():
-    orbits = list(enumerate_colourings((4,), 2, 2))
+    orbits = [
+        graph_from_cycle_colouring((4,), flat, 2) for flat in _orderly_strings((4,), 2, 2, False)
+    ]
     sequences = [tuple(e.colour for e in g.edges) for g in orbits]
     assert sequences == [(0, 0, 1, 1), (0, 1, 0, 1)]
     counts = [count_full_rainbow(g)[0] for g in orbits]

@@ -14,11 +14,9 @@ from rainbowmatch import (
     canonical_colouring,
     canonical_label,
     colour_stats,
-    enumerate_colourings,
     find_full_rainbow_matching,
     graph_from_cycle_colouring,
     hunt,
-    is_canonical,
     max_degree,
 )
 from rainbowmatch import hunting, solver
@@ -66,40 +64,42 @@ def test_shapes_match_brute_force_reference(bipartite):
         assert shapes_up_to(n, bipartite) == expected, n
 
 
+def orbit_graphs(shape, colours, class_size):
+    """One graph per orbit of the colourings with exact class sizes: the
+    generator's strings, in order."""
+    return [
+        graph_from_cycle_colouring(shape, flat, colours)
+        for flat in hunting._orderly_strings(shape, colours, class_size, False)
+    ]
+
+
 def colour_sequences(graphs):
     return [tuple(e.colour for e in g.edges) for g in graphs]
 
 
 def test_colourings_two_colours_on_four_cycle():
     # hand enumeration: the only orbits are aabb and abab
-    assert colour_sequences(enumerate_colourings((4,), 2, 2)) == [
+    assert colour_sequences(orbit_graphs((4,), 2, 2)) == [
         (0, 0, 1, 1),
         (0, 1, 0, 1),
     ]
 
 
 def test_colourings_single_colour():
-    assert colour_sequences(enumerate_colourings((4,), 1, 4)) == [(0, 0, 0, 0)]
+    assert colour_sequences(orbit_graphs((4,), 1, 4)) == [(0, 0, 0, 0)]
 
 
 def test_colourings_all_distinct_collapse():
     # with colour renaming in the symmetry group, every permutation of four
     # distinct colours around a 4-cycle is the same instance
-    assert colour_sequences(enumerate_colourings((4,), 4, 1)) == [(0, 1, 2, 3)]
+    assert colour_sequences(orbit_graphs((4,), 4, 1)) == [(0, 1, 2, 3)]
 
 
 def test_colourings_yield_exact_class_sizes():
-    for g in enumerate_colourings((4, 4), 4, 2):
+    for g in orbit_graphs((4, 4), 4, 2):
         assert set(colour_stats(g).multiplicities.values()) == {2}
         assert g.colour_count == 4
         assert max_degree(g) == 2
-
-
-def test_colourings_infeasible_arithmetic():
-    with pytest.raises(ValueError, match="infeasible"):
-        list(enumerate_colourings((4,), 3, 2))
-    with pytest.raises(ValueError, match="at least 3"):
-        list(enumerate_colourings((2,), 1, 2))
 
 
 def random_blocks(rng, shape, colours):
@@ -168,6 +168,11 @@ def split(shape, flat):
     return tuple(blocks)
 
 
+def is_canonical_string(shape, flat):
+    blocks = split(shape, flat)
+    return canonical_colouring(shape, blocks) == blocks
+
+
 def restricted_growth_strings(length):
     """Every string whose symbols first appear in the order 0, 1, 2, ..."""
     def extend(prefix, used):
@@ -181,24 +186,23 @@ def restricted_growth_strings(length):
 
 
 def test_is_canonical_matches_full_minimisation():
-    # every restricted-growth string of every shape up to 8 edges, over every
-    # colour count, against the full minimum computed by canonical_colouring
+    # the two canonical forms cross-checked: for every shape up to 8 edges
+    # and every colour count, the flattened canonical_colouring forms of
+    # every restricted-growth string are exactly the generator's strings
     checked = accepted = 0
     for shape in shapes_up_to(8, False):
+        forms = {}
         for flat in restricted_growth_strings(sum(shape)):
-            blocks = split(shape, flat)
-            expected = canonical_colouring(shape, blocks) == blocks
-            assert is_canonical(shape, blocks) == expected, (shape, blocks)
+            form = sum(canonical_colouring(shape, split(shape, flat)), ())
+            forms.setdefault(max(flat) + 1, set()).add(form)
             checked += 1
-            accepted += expected
+        for colours, found in forms.items():
+            assert found == set(hunting._orderly_strings(shape, colours, 1, True)), (shape, colours)
+            accepted += len(found)
     assert checked == 14652
     assert 0 < accepted < checked
-    # symbols below 0 put every arrangement above the string itself
-    blocks = ((-1, -1, -1),)
-    assert canonical_colouring((3,), blocks) == ((0, 0, 0),)
-    assert is_canonical((3,), blocks) is False
-    with pytest.raises(ValueError):
-        is_canonical((4,), ((0, 0, 0),))
+    # symbols below 0 are renamed like any other
+    assert canonical_colouring((3,), ((-1, -1, -1),)) == ((0, 0, 0),)
 
 
 def orbits_by_union_find(shape, colours, class_size):
@@ -263,10 +267,8 @@ def orbits_by_union_find(shape, colours, class_size):
 )
 def test_is_canonical_accepts_one_string_per_orbit(shape, class_size):
     colours = sum(shape) // class_size
-    orbits, strings = orbits_by_union_find(shape, colours, class_size)
-    # over all strings, not only restricted-growth ones
-    assert sum(is_canonical(shape, split(shape, s)) for s in strings) == orbits
-    assert len(list(enumerate_colourings(shape, colours, class_size))) == orbits
+    orbits, _ = orbits_by_union_find(shape, colours, class_size)
+    assert len(list(hunting._orderly_strings(shape, colours, class_size, False))) == orbits
 
 
 # (class_size_is_minimum, class sizes, max edges).  Every unit up to 10 edges
@@ -304,7 +306,7 @@ def test_orderly_generation_cuts_no_canonical_string(monkeypatch):
         )
     }
     assert len(units) == 322
-    beam = hunting._beam_minimum
+    beam = hunting.canonical_colouring
     beamed = []
 
     def counting_beam(*args):
@@ -317,15 +319,15 @@ def test_orderly_generation_cuts_no_canonical_string(monkeypatch):
             for s, sizes in references[sum(shape), colours]
             if min(sizes) >= class_size and (minimum or max(sizes) == class_size)
         ]
-        expected = [s for s in space if is_canonical(shape, split(shape, s))]
+        expected = [s for s in space if is_canonical_string(shape, s)]
         with monkeypatch.context() as patch:
-            patch.setattr(hunting, "_beam_minimum", counting_beam)
+            patch.setattr(hunting, "canonical_colouring", counting_beam)
             generated = list(hunting._orderly_strings(shape, colours, class_size, minimum))
         assert generated == expected, (shape, colours, class_size, minimum)
         size = hunting._space_size(sum(shape), colours, class_size, minimum)
         assert size == len(space), (shape, colours, class_size, minimum)
     # and the generator decides canonicity without ever running the beam of
-    # _beam_minimum
+    # canonical_colouring
     assert beamed == []
 
 
@@ -354,14 +356,14 @@ def test_orderly_generation_at_twelve_edges(shape):
             string[a] = string[b] = colour
         strings.append(tuple(string))
     assert len(set(strings)) == 10395 == hunting._space_size(12, 6, 2, False)
-    expected = sorted(s for s in strings if is_canonical(shape, split(shape, s)))
+    expected = sorted(s for s in strings if is_canonical_string(shape, s))
     assert list(hunting._orderly_strings(shape, 6, 2, False)) == expected
 
 
 def orbit_minima(shape, colours, class_size, minimum):
     """The strings of a unit that are the least member of their orbit.
 
-    Shares no code with the generator or with _beam_minimum: the group is
+    Shares no code with the generator or with canonical_colouring: the group is
     enumerated element by element, as a list of positions to read.  Slot i
     of an element takes a cycle of its length (a permutation of the
     equal-length cycles) under one of its rotations and reflections, and
@@ -793,6 +795,30 @@ def test_engine_and_brute_force_disagreement_is_caught(monkeypatch):
     spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
     with pytest.raises(RuntimeError, match="backtracking and brute force disagree on 4:0,0,1,1"):
         hunting._examine_unit((spec, (4,), 2, frozenset(), DEFAULT_BRUTE_LIMIT))
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        [0, 2],  # disjoint edges of colour 0 only
+        [2, 3],  # both colours, sharing vertex 3
+        [0, 3, 4],  # a third edge, sharing vertex 4 with the second
+        [0],  # colour 1 missing
+        [0, 3, 3],  # one edge twice
+        [-1, 2],  # position -1 would read the last edge, (5, 0), of colour 1
+        [0, 6],  # past the last position
+    ],
+)
+def test_a_wrong_engine_witness_is_caught_by_the_hunter(monkeypatch, witness):
+    # the unit's first string is 0,0,0,1,1,1 on a 6-cycle, where [0, 3] is
+    # a full rainbow matching; each of these is not
+    monkeypatch.setattr(hunting, "_walk", lambda *args, **kwargs: (witness, 1))
+    spec = SearchSpec(max_edges=6, colour_class_size=3, require_bipartite=True)
+    with pytest.raises(RuntimeError, match=r"invalid witness .* on 6:0,0,0,1,1,1"):
+        hunt(spec)
+    monkeypatch.setattr(hunting, "_walk", lambda *args, **kwargs: ([0, 3], 1))
+    with pytest.raises(RuntimeError, match=r"invalid witness \[0, 3\] on 6:0,0,1,0,1,1"):
+        hunt(spec)
 
 
 def test_a_find_against_the_2_delta_threshold_is_caught(monkeypatch):
