@@ -177,18 +177,18 @@ def bipartition(graph: ColouredMultigraph) -> Optional[tuple[set[int], set[int]]
     return left, right
 
 
-def _check_indices(graph: ColouredMultigraph, edge_indices: Iterable[int]) -> list[int]:
+def verify_matching(graph: ColouredMultigraph, edge_indices: Iterable[int]) -> bool:
+    """True iff the referenced edges are pairwise vertex-disjoint.
+
+    Every index is checked before any edge is read: one out of range raises
+    IndexError.
+    """
     indices = list(edge_indices)
     for i in indices:
         if not (0 <= i < len(graph.edges)):
             raise IndexError(f"edge index {i} out of range for {len(graph.edges)} edges")
-    return indices
-
-
-def verify_matching(graph: ColouredMultigraph, edge_indices: Iterable[int]) -> bool:
-    """True iff the referenced edges are pairwise vertex-disjoint."""
     occupied: set[int] = set()
-    for i in _check_indices(graph, edge_indices):
+    for i in indices:
         e = graph.edges[i]
         if e.u in occupied or e.v in occupied:
             return False
@@ -199,7 +199,7 @@ def verify_matching(graph: ColouredMultigraph, edge_indices: Iterable[int]) -> b
 
 def is_full_rainbow(graph: ColouredMultigraph, edge_indices: Iterable[int]) -> bool:
     """True iff the edges form a matching with exactly one edge of every colour."""
-    indices = _check_indices(graph, edge_indices)
+    indices = list(edge_indices)  # checked by verify_matching
     if not verify_matching(graph, indices):
         return False
     counts = [0] * graph.colour_count

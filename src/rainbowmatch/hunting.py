@@ -644,7 +644,7 @@ def _examine_unit(
             stats = DegreeStats(min(map(flat.count, range(colours))), 2)
         if spec.require_delta_gap and stats.delta_v1 <= stats.delta_max_rest:
             continue
-        witness = _walk(read(flat, True), must_pick=True)[0]
+        witness = _walk(read(flat), must_pick=True)[0]
         if witness is not None:
             # a position out of range has no ends, so two ends per position
             # put every position in range and on vertices of its own; and

@@ -3,9 +3,10 @@
 A coloured graph G maps to a hypergraph H whose vertices are the vertices of
 G together with one new vertex per colour (the class V1).  Each coloured edge
 {u, v} with colour c becomes the hyperedge {c, u, v}, so a full rainbow
-matching of G is exactly a matching of H covering all of V1.  When G is
-bipartite the hypergraph is tripartite with V2 and V3 the two sides;
-otherwise V2 is one merged pool of G's vertices.
+matching of G is exactly a matching of H covering all of V1.  V2 and V3
+are the two sides of G's bipartition, so when G is bipartite H is
+tripartite.  Otherwise the same construction puts every vertex on one side:
+V2 is one merged pool of G's vertices and V3 is empty.
 
 The hypergraph is an input and output format.  :func:`from_coloured_graph`
 is the one way in and :func:`as_coloured_graph` the one way back, and
@@ -60,19 +61,16 @@ class TripartiteHypergraph:
             raise InvalidInstanceError("class sizes must be non-negative")
         if not self.tripartite and self.v3_count != 0:
             raise InvalidInstanceError("merged-pool hypergraphs must have v3_count == 0")
+        # a merged pool is V2 at both ends of a triple
+        third, kind = (self.v3_count, "V2/V3") if self.tripartite else (self.v2_count, "pool")
         covered: set[int] = set()
-        pool = self.v2_count if not self.tripartite else 0
         for i, (a, b, c) in enumerate(self.triples):
             if not (0 <= a < self.v1_count):
                 raise InvalidInstanceError(f"triple {i}: V1 index {a} out of range")
-            if self.tripartite:
-                if not (0 <= b < self.v2_count) or not (0 <= c < self.v3_count):
-                    raise InvalidInstanceError(f"triple {i}: V2/V3 index out of range")
-            else:
-                if not (0 <= b < pool) or not (0 <= c < pool):
-                    raise InvalidInstanceError(f"triple {i}: pool index out of range")
-                if b == c:
-                    raise InvalidInstanceError(f"triple {i}: repeated pool vertex {b}")
+            if not (0 <= b < self.v2_count) or not (0 <= c < third):
+                raise InvalidInstanceError(f"triple {i}: {kind} index out of range")
+            if b == c and not self.tripartite:
+                raise InvalidInstanceError(f"triple {i}: repeated pool vertex {b}")
             covered.add(a)
         if len(covered) < self.v1_count:
             # stops within len(covered) + 1 steps, so a huge count allocates nothing
@@ -94,24 +92,20 @@ class DegreeStats(NamedTuple):
 def from_coloured_graph(graph: ColouredMultigraph) -> TripartiteHypergraph:
     """The hypergraph of a coloured graph, triple i for edge i.
 
-    If the graph is bipartite the result is tripartite: V2 and V3 are the
-    two sides, each component's smallest vertex in V2.  Otherwise the
-    vertices share one merged pool and ``tripartite`` is False.  Only the
-    vertices that carry an edge are kept, each class numbered in ascending
-    original identifier, so isolated vertices are dropped and the cost does
-    not grow with ``vertex_count``.
+    Edge {u, v} of colour c becomes the triple (c, x, y): x is its end on
+    side 0 of the graph's bipartition, u when both ends are, and y the
+    other end.  Each component's smallest vertex is on side 0, and V2 and
+    V3 are the two sides.  A graph with an odd cycle gets the same
+    construction with every vertex on side 0: V2 is then one merged pool,
+    V3 is empty and ``tripartite`` is False.  Only the vertices that carry
+    an edge are kept, each class numbered in ascending original identifier,
+    so isolated vertices are dropped and the cost does not grow with
+    ``vertex_count``.
     """
     side = _sides(graph)
-    if side is None:
-        carrying = {v for e in graph.edges for v in (e.u, e.v)}
-        pool = {v: i for i, v in enumerate(sorted(carrying))}
-        return TripartiteHypergraph(
-            v1_count=graph.colour_count,
-            v2_count=len(pool),
-            v3_count=0,
-            triples=tuple((e.colour, pool[e.u], pool[e.v]) for e in graph.edges),
-            tripartite=False,
-        )
+    tripartite = side is not None
+    if not tripartite:
+        side = dict.fromkeys((v for e in graph.edges for v in (e.u, e.v)), 0)
     classes: tuple[list[int], list[int]] = ([], [])
     for v in sorted(side):
         classes[side[v]].append(v)
@@ -125,7 +119,7 @@ def from_coloured_graph(graph: ColouredMultigraph) -> TripartiteHypergraph:
             else (e.colour, index[e.v], index[e.u])
             for e in graph.edges
         ),
-        tripartite=True,
+        tripartite=tripartite,
     )
 
 

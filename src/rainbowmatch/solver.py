@@ -50,7 +50,7 @@ class SolveOutcome(NamedTuple):
     exhaustive: bool
 
 
-def _plan(colour_count: int, edges: Iterable[Sequence[int]]) -> Callable[[Sequence[int], bool], tuple]:
+def _plan(colour_count: int, edges: Iterable[Sequence[int]]) -> Callable[[Sequence[int]], tuple]:
     """The engine's set-up for one edge list: a reader of its colourings.
 
     An edge's first two entries are its endpoints and its index is its
@@ -58,8 +58,8 @@ def _plan(colour_count: int, edges: Iterable[Sequence[int]]) -> Callable[[Sequen
     The endpoints fix what the edge geometry alone decides: the vertices
     that carry an edge, relabelled densely in order of first appearance (so
     isolated vertices cost nothing), and each edge's packed vertex value.
-    The returned ``read(colours, must_pick)`` takes one colour per edge and
-    builds the tables :func:`_walk` reads for that colouring.  Edges and
+    The returned ``read(colours)`` takes one colour per edge and builds the
+    tables :func:`_walk` reads for that colouring, in either mode.  Edges and
     colours are trusted to be valid as :class:`ColouredMultigraph` checks it
     (no self-loops, every colour below ``colour_count`` on some edge), and
     are not validated here.
@@ -75,9 +75,7 @@ def _plan(colour_count: int, edges: Iterable[Sequence[int]]) -> Callable[[Sequen
     at depths d and later, with one more entry, 0, for the depth past the
     last; and ``every`` is the mask of every bit, runs and guards alike.
     ``layers`` holds per depth one item per edge of its colour, ``(index,
-    vertices, keep)``.  Without ``must_pick`` each layer ends with one more
-    item, the skip ``(-1, 1, every)``, which max mode tries after the edges;
-    find mode never reads it, so these tables serve both modes.
+    vertices, keep)``.
 
     A state, the set of occupied vertices with its depth, is packed into one
     integer: the depth in the low ``k = colour_count.bit_length()`` bits and
@@ -105,7 +103,7 @@ def _plan(colour_count: int, edges: Iterable[Sequence[int]]) -> Callable[[Sequen
     # per multiset of colours: the layout, and per colour its depth and first bit
     orders: dict[tuple[int, ...], tuple] = {}
 
-    def read(colours: Sequence[int], must_pick: bool) -> tuple:
+    def read(colours: Sequence[int]) -> tuple:
         multiset = tuple(sorted(colours))
         known = orders.get(multiset)
         if known is None:
@@ -143,18 +141,14 @@ def _plan(colour_count: int, edges: Iterable[Sequence[int]]) -> Callable[[Sequen
         layers: list[list[tuple[int, int, int]]] = [[] for _ in depth_of]
         for (index, u, v, value), colour in zip(plan, colours):
             layers[depth_of[colour]].append((index, value, every ^ (incident[u] | incident[v])))
-        if not must_pick:
-            # skipping a colour is one more child: it occupies and blocks nothing
-            for layer in layers:
-                layer.append((-1, 1, every))
         return (layers, *layout)
 
     return read
 
 
-def _tables(graph: ColouredMultigraph, must_pick: bool) -> tuple:
+def _tables(graph: ColouredMultigraph) -> tuple:
     """The engine's set-up for one graph: its :func:`_plan`, read once."""
-    return _plan(graph.colour_count, graph.edges)([e.colour for e in graph.edges], must_pick)
+    return _plan(graph.colour_count, graph.edges)([e.colour for e in graph.edges])
 
 
 def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Optional[list[int]], int]:
@@ -164,15 +158,15 @@ def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Op
     With ``must_pick`` (find mode) every colour takes one free edge, and a
     child is entered only when every later colour still has a free edge; the
     result is the first full rainbow matching in search order, or None.
-    Without it (max mode, on tables built without ``must_pick``) a colour
-    may also be skipped, which is tried after its edges, and a child is
-    entered only when its chosen count plus the number of later colours that
-    still have a free edge exceeds the best size so far; the result is the
-    first maximum-size set in search order.  Max mode stops at the first set
-    of ``cap`` edges (default: one per colour), so ``cap`` must be an upper
-    bound on the maximum for that set to be the uncapped result: the search
-    is the same up to that set, and the uncapped one would keep it,
-    replacing the best set only by a larger one.
+    Without it (max mode) a colour may also be skipped, which is tried after
+    its edges, and a child is entered only when its chosen count plus the
+    number of later colours that still have a free edge exceeds the best
+    size so far; the result is the first maximum-size set in search order.
+    Max mode stops at the first set of ``cap`` edges (default: one per
+    colour), so ``cap`` must be an upper bound on the maximum for that set
+    to be the uncapped result: the search is the same up to that set, and
+    the uncapped one would keep it, replacing the best set only by a larger
+    one.
 
     Both rules read one integer per state, the set of free edges.  Adding
     the set of all edges to it turns each colour's run into all ones plus
@@ -186,11 +180,16 @@ def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Op
     exactly when neither of its vertices is occupied, so shifting the set of
     free edges down to the start of the colour's run and masking it to the
     run's width leaves exactly the edges that can be taken; bit i stands for
-    the colour's i-th edge.  In max mode the skip is the bit above the run,
-    which is otherwise the guard and never free, so it is always pending
-    and, as the highest bit, tried last; find mode leaves it out.  Each
-    depth keeps its untried children as such a mask and takes the lowest set
-    bit next, so occupied edges are never visited.
+    the colour's i-th edge.  Each depth keeps its untried children as such
+    a mask and takes the lowest set bit next, so occupied edges are never
+    visited.
+
+    Max mode's skip is one more item at the end of each layer, ``(-1, 1,
+    every)``, which occupies and blocks nothing.  The walk appends it to
+    copies of the layers, so the tables are left as they were and serve
+    either mode.  Its bit is the one above the colour's run, which is
+    otherwise the guard and never free, so it is always pending and, as the
+    highest bit, tried last; find mode leaves it out.
 
     Every state whose subtree is exhausted goes into a set of refuted states,
     keyed by its packed integer, and no state in it is entered again.  In
@@ -205,7 +204,11 @@ def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Op
     layers, starts, widths, guards, every = tables
     colour_count = len(layers)
     all_edges = every ^ guards[0]
-    skips = [0] * colour_count if must_pick else [width + 1 for width in widths]
+    skips = [0] * colour_count
+    if not must_pick:
+        # skipping a colour is one more child: it occupies and blocks nothing
+        skips = [width + 1 for width in widths]
+        layers = [[*layer, (-1, 1, every)] for layer in layers]
     if cap is None:
         cap = colour_count
     refuted: set[int] = set()
@@ -300,7 +303,7 @@ def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
     ``nodes_explored`` counts the search nodes entered; states skipped as
     already refuted are not nodes.
     """
-    matching, nodes = _walk(_tables(graph, True), must_pick=True)
+    matching, nodes = _walk(_tables(graph), must_pick=True)
     return SolveOutcome(
         matching=None if matching is None else _checked(graph, matching, True),
         nodes_explored=nodes,
@@ -331,7 +334,7 @@ def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]
     distinct colours, and full rainbow when find mode answers.
     """
     n = graph.colour_count
-    tables = _tables(graph, must_pick=False)
+    tables = _tables(graph)
     full, _ = _walk(tables, must_pick=True)
     if full is not None:
         return n, _checked(graph, full, True)

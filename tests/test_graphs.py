@@ -140,6 +140,17 @@ def test_is_full_rainbow(single_edge, four_cycle):
         is_full_rainbow(four_cycle, {9})
 
 
+def test_indices_are_checked_before_any_edge_is_read(four_cycle, single_edge):
+    # edges 0 and 1 share a vertex, yet the index after them is out of range
+    for predicate in (verify_matching, is_full_rainbow):
+        with pytest.raises(IndexError) as caught:
+            predicate(four_cycle, [0, 1, 9])
+        assert str(caught.value) == "edge index 9 out of range for 4 edges"
+    # an iterator is read once
+    assert is_full_rainbow(single_edge, iter([0]))
+    assert verify_matching(four_cycle, iter([0, 2]))
+
+
 def test_is_full_rainbow_empty_graph():
     assert is_full_rainbow(build_graph(0, 0, []), set())
 

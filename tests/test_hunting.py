@@ -894,9 +894,9 @@ def test_orbit_tables_and_statistics_match_the_graph(spec):
     for shape, colours in hunting._work_units(spec):
         read = solver._plan(colours, hunting._cycle_endpoints(shape))
         for flat in hunting._orderly_strings(shape, colours, class_size, minimum):
-            tables = read(flat, True)
+            tables = read(flat)
             graph = graph_from_cycle_colouring(shape, flat, colours)
-            assert tables == solver._tables(graph, True)
+            assert tables == solver._tables(graph)
             assert minimum or colour_stats(graph).minimum == class_size
             assert max_degree(graph) == 2
             orbits += 1

@@ -46,6 +46,28 @@ def test_non_bipartite_conversion(triangle):
     assert hypergraph.v3_count == 0
 
 
+def test_non_bipartite_conversion_pools_the_carrying_vertices():
+    # sparse vertex ids among many isolated vertices, and a triangle so that
+    # some component has an odd cycle: the pool is the vertices that carry
+    # an edge, numbered in ascending original id, and triple i is edge i
+    rng = random.Random(917)
+    for _ in range(200):
+        ids = rng.sample(range(10**6), rng.randint(3, 12))
+        k = rng.randint(1, 6)
+        pairs = [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])]
+        pairs += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(k, 15))]
+        colours = list(range(k)) + [rng.randrange(k) for _ in range(len(pairs) - k)]
+        rng.shuffle(colours)
+        g = build_graph(10**6, k, [(u, v, c) for (u, v), c in zip(pairs, colours)])
+        pool = sorted({v for pair in pairs for v in pair})
+        hypergraph = from_coloured_graph(g)
+        assert not hypergraph.tripartite
+        assert (hypergraph.v1_count, hypergraph.v2_count, hypergraph.v3_count) == (k, len(pool), 0)
+        assert hypergraph.triples == tuple(
+            (c, pool.index(u), pool.index(v)) for (u, v), c in zip(pairs, colours)
+        )
+
+
 def test_isolated_vertices_dropped():
     g = build_graph(4, 1, [(1, 3, 0)])
     hypergraph = from_coloured_graph(g)
@@ -261,6 +283,20 @@ def test_validation_errors():
         TripartiteHypergraph(1, 2, 0, ((0, 1, 1),), False)
     with pytest.raises(InvalidInstanceError, match="v3_count == 0"):
         TripartiteHypergraph(1, 2, 2, ((0, 0, 1),), False)
+    # the exact messages: a tripartite triple's c indexes V3, and a pool
+    # triple's b and c both index the pool
+    for triples, v2, v3, tripartite, message in [
+        (((0, 0, 0), (0, 1, 0)), 1, 1, True, "triple 1: V2/V3 index out of range"),
+        (((0, 0, 2),), 3, 1, True, "triple 0: V2/V3 index out of range"),
+        (((0, 0, -1),), 1, 1, True, "triple 0: V2/V3 index out of range"),
+        (((0, 0, 1), (0, 2, 0)), 2, 0, False, "triple 1: pool index out of range"),
+        (((0, 0, 2),), 2, 0, False, "triple 0: pool index out of range"),
+        (((0, -1, 1),), 2, 0, False, "triple 0: pool index out of range"),
+        (((0, 0, 1), (0, 1, 1)), 2, 0, False, "triple 1: repeated pool vertex 1"),
+    ]:
+        with pytest.raises(InvalidInstanceError) as caught:
+            TripartiteHypergraph(1, v2, v3, triples, tripartite)
+        assert str(caught.value) == message
 
 
 def test_json_round_trip():

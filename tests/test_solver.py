@@ -259,7 +259,7 @@ def test_brute_force_masks_ignore_vertex_ids():
 
 
 def _uncapped(graph):
-    best = solver._walk(solver._tables(graph, False), False)[0]
+    best = solver._walk(solver._tables(graph), False)[0]
     return len(best), frozenset(best)
 
 
@@ -354,12 +354,12 @@ def test_max_mode_node_budget(engine_nodes, order, seed):
 
 def test_cap_stops_max_mode_at_its_first_set_of_that_size():
     # five disjoint one-edge colours: uncapped, the search takes all five
-    tables = solver._tables(build_graph(10, 5, [(2 * i, 2 * i + 1, i) for i in range(5)]), False)
+    tables = solver._tables(build_graph(10, 5, [(2 * i, 2 * i + 1, i) for i in range(5)]))
     assert solver._walk(tables, False) == ([0, 1, 2, 3, 4], 6)
     assert solver._walk(tables, False, cap=2) == ([0, 1], 3)
     # the order-10 square: its first set of 9 edges is the uncapped witness
     g = latin_square(10, 0)
-    best, nodes = solver._walk(solver._tables(g, False), False, cap=9)
+    best, nodes = solver._walk(solver._tables(g), False, cap=9)
     assert (len(best), frozenset(best)) == _uncapped(g)
     assert nodes == 20
 
@@ -384,8 +384,8 @@ def test_max_mode_builds_its_tables_once(monkeypatch, engine_nodes):
 def test_one_plan_reads_every_colouring_of_its_edges(colour_count):
     # one reader over many colourings of one edge list, with sparse vertex
     # ids among many isolated vertices and class-size profiles that change
-    # from read to read: each read is a fresh set-up's, in both modes, so
-    # nothing of one read (shifts, layout cache) leaks into the next
+    # from read to read: each read is a fresh set-up's, so nothing of one
+    # read (shifts, layout cache) leaks into the next
     rng = random.Random(colour_count)
     ids = rng.sample(range(10**6), 12)
     pairs = [tuple(rng.sample(ids, 2)) for _ in range(colour_count + rng.randint(3, 12))]
@@ -397,10 +397,42 @@ def test_one_plan_reads_every_colouring_of_its_edges(colour_count):
         colours += [rng.randrange(colour_count) for _ in range(len(pairs) - colour_count)]
         rng.shuffle(colours)
         g = build_graph(10**6, colour_count, [(u, v, c) for (u, v), c in zip(pairs, colours)])
-        for must_pick in rng.sample([False, True], 2):
-            assert read(colours, must_pick) == solver._tables(g, must_pick)
+        assert read(colours) == solver._tables(g)
         profiles.add(tuple(sorted(map(colours.count, range(colour_count)))))
     assert colour_count == 1 or len(profiles) > 1
+
+
+def test_a_max_walk_leaves_its_tables_as_they_were():
+    # max mode adds its skips to copies of the layers: the tables still
+    # equal a fresh set-up's, and a find walk on them gives the witness and
+    # node count it gives on fresh tables
+    rng = random.Random(4099)
+    graphs = [random_graph(rng, max_vertices=10, max_colours=7, max_edges=18) for _ in range(300)]
+    graphs += [latin_square(order, 0) for order in range(1, 9)]
+    for g in graphs:
+        tables = solver._tables(g)
+        solver._walk(tables, False)
+        assert tables == solver._tables(g)
+        assert solver._walk(tables, True) == solver._walk(solver._tables(g), True)
+
+
+def test_any_tables_can_be_walked_in_either_mode():
+    # one reader per edge list, as the hunter reads its colour strings, and
+    # one set-up per graph: either walk runs on either's tables and answers
+    # for the graph
+    rng = random.Random(8191)
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=8, max_colours=5, max_edges=12)
+        colours = [e.colour for e in g.edges]
+        read = solver._plan(g.colour_count, [(e.u, e.v) for e in g.edges])
+        for tables in (read(colours), solver._tables(g)):
+            best, _ = solver._walk(tables, False)
+            assert len(best) == max_rainbow_by_enumeration(g)
+            assert verify_matching(g, best)
+            assert len({g.edges[i].colour for i in best}) == len(best)
+            full, _ = solver._walk(tables, True)
+            assert (full is not None) == (count_full_rainbow(g)[0] > 0)
+            assert full is None or is_full_rainbow(g, full)
 
 
 @pytest.mark.parametrize("colours", [1, 2, 4, 8, 16])
@@ -421,7 +453,7 @@ def test_colour_counts_that_fill_the_depth_field(colours):
         edges += [(*rng.sample(range(n), 2), c) for c in range(colours) if rng.random() < 0.5]
         g = build_graph(n, colours, edges)
         # every depth from 0 to colours fits below the vertex bits
-        for layer in solver._tables(g, False)[0]:
+        for layer in solver._tables(g)[0]:
             assert all(vertices % 2 ** colours.bit_length() == 1 for _, vertices, _ in layer)
         count, first = count_full_rainbow(g)
         outcome = find_full_rainbow_matching(g)

@@ -231,7 +231,7 @@ def test_larger_random_graph_witnesses():
 
 
 def _nodes(graph):
-    max_nodes = solver._walk(solver._tables(graph, False), False)[1]
+    max_nodes = solver._walk(solver._tables(graph), False)[1]
     return find_full_rainbow_matching(graph).nodes_explored, max_nodes
 
 
