@@ -206,7 +206,6 @@ def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Op
     all_edges = every ^ guards[0]
     skips = [0] * colour_count
     if not must_pick:
-        # skipping a colour is one more child: it occupies and blocks nothing
         skips = [width + 1 for width in widths]
         layers = [[*layer, (-1, 1, every)] for layer in layers]
     if cap is None:
