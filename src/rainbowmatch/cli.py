@@ -9,7 +9,9 @@ outcome instead of treating it as a failure.
 
 All output is newline-terminated JSON (or JSON-lines for hunt); human tables
 sit behind --pretty.  The environment variable RAINBOW_BRUTE_LIMIT overrides
-the brute-force enumeration guard.
+the brute-force enumeration guard of solve --method brute only.  A hunt
+certifies its finds under the default guard, which no unit below 51 edges
+can exceed.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             raise ValueError(f"--output would overwrite the --resume file {args.resume}")
         with open(args.resume, "r", encoding="utf-8") as handle:
             skip = hunting.read_certified_forms(handle)
-    outcome = hunting.hunt(spec, jobs=args.jobs, skip_forms=skip, brute_limit=_brute_limit())
+    outcome = hunting.hunt(spec, jobs=args.jobs, skip_forms=skip)
     lines = [hunting.result_line(result) for result in outcome.results]
     lines.append(_dumps(hunting.summary_record(outcome, spec)))
     _write_output(args.output, "".join(lines))
@@ -309,7 +311,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"malformed record: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except solver.BruteForceLimitError as exc:
-        print(f"{exc} (set RAINBOW_BRUTE_LIMIT to raise it)", file=sys.stderr)
+        print(f"{exc} (RAINBOW_BRUTE_LIMIT raises it for solve --method brute)", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .graphs import ColouredMultigraph, build_graph, is_bipartite
 from .hypergraphs import DegreeStats
-from .solver import DEFAULT_BRUTE_LIMIT, _plan, _walk, brute_force_full_rainbow
+from .solver import _plan, _walk, brute_force_full_rainbow
 
 __all__ = [
     "SearchSpec",
@@ -605,7 +605,7 @@ def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph, stats: Degre
 
 
 def _examine_unit(
-    args: tuple[SearchSpec, tuple[int, ...], int, frozenset[str], int],
+    args: tuple[SearchSpec, tuple[int, ...], int, frozenset[str]],
 ) -> tuple[list[SearchResult], int, int, int]:
     """Examine every orbit of one (shape, colour count) unit.
 
@@ -627,7 +627,7 @@ def _examine_unit(
     brute-force oracle and :func:`_recheck_structure` confirm the block
     independently.
     """
-    spec, shape, colours, skip_forms, brute_limit = args
+    spec, shape, colours, skip_forms = args
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
     pairs, total, palette = _cycle_endpoints(shape), sum(shape), list(range(colours))
     read = _plan(colours, pairs)
@@ -658,7 +658,7 @@ def _examine_unit(
             continue
         label = canonical_label(shape, _reshape(shape, flat))
         graph = graph_from_cycle_colouring(shape, flat, colours)
-        outcome, matching_count = brute_force_full_rainbow(graph, brute_limit)
+        outcome, matching_count = brute_force_full_rainbow(graph)
         if matching_count != 0 or outcome.matching is not None:
             raise RuntimeError(f"backtracking and brute force disagree on {label}")
         if stats.delta_v1 >= 2 * stats.delta_max_rest:
@@ -727,7 +727,6 @@ def hunt(
     spec: SearchSpec,
     jobs: int = 1,
     skip_forms: Optional[set[str]] = None,
-    brute_limit: int = DEFAULT_BRUTE_LIMIT,
 ) -> HuntOutcome:
     """Sweep the shape x colouring space and return verified blocked instances.
 
@@ -739,6 +738,10 @@ def hunt(
     stop lets up to ``jobs - 1`` running units end and kills no worker, and a
     worker that dies raises ``BrokenProcessPool``.
     Forms in ``skip_forms`` (from a previous run's records) are not re-solved.
+    Each blocked orbit is certified by :func:`solver.brute_force_full_rainbow`
+    under its default guard (a product of class sizes of at most 10^8, which
+    no unit below 51 edges can exceed); ``RAINBOW_BRUTE_LIMIT`` guards
+    ``solve --method brute`` only.
     Raises ValueError when ``jobs`` is below 1.
     """
     if jobs < 1:
@@ -747,7 +750,7 @@ def hunt(
     units = _work_units(spec)
     # a worker beyond one per unit would have nothing to do
     first = list(itertools.islice(units, jobs))
-    payloads = ((spec, *unit, frozen_skip, brute_limit) for unit in itertools.chain(first, units))
+    payloads = ((spec, *unit, frozen_skip) for unit in itertools.chain(first, units))
 
     results: list[SearchResult] = []
     candidates = orbits = skipped = consumed = 0

@@ -147,14 +147,18 @@ def test_brute_limit_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RAINBOW_BRUTE_LIMIT", "2000")
     assert run_cli(capsys, "solve", "--method", "brute", str(g4))[0] == 3
     # a limit that is not an integer is refused before any work, in one line
-    for raw, argv in [
-        ("1e3", ["solve", "--method", "brute", str(g4)]),
-        ("x", ["hunt", "--class-size", "2", "--max-edges", "4"]),
-    ]:
+    monkeypatch.setenv("RAINBOW_BRUTE_LIMIT", "1e3")
+    code, out, err = run_cli(capsys, "solve", "--method", "brute", str(g4))
+    assert (code, out) == (1, "")
+    assert err == "error: RAINBOW_BRUTE_LIMIT must be an integer, got '1e3'\n"
+    # a hunt certifies under the default guard and never reads the variable
+    argv = ["hunt", "--class-size", "2", "--max-edges", "8"]
+    monkeypatch.delenv("RAINBOW_BRUTE_LIMIT")
+    code, expected, _ = run_cli(capsys, *argv)
+    assert (code, len(expected)) == (0, 10913)
+    for raw in ("1", "x"):
         monkeypatch.setenv("RAINBOW_BRUTE_LIMIT", raw)
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err == f"error: RAINBOW_BRUTE_LIMIT must be an integer, got {raw!r}\n"
+        assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_solve_brute_method_huge_vertex_ids(capsys, tmp_path):

@@ -23,7 +23,6 @@ from rainbowmatch import hunting, solver
 from rainbowmatch.graphs import build_graph, graph_to_json
 from rainbowmatch.hunting import read_certified_forms, result_line, summary_record
 from rainbowmatch.hypergraphs import DegreeStats
-from rainbowmatch.solver import DEFAULT_BRUTE_LIMIT
 
 
 def shapes_up_to(max_edges, bipartite):
@@ -520,7 +519,7 @@ def test_gap_filter_reads_each_orbits_smallest_class():
         class_size_is_minimum=True,
         require_delta_gap=True,
     )
-    unit = ((4, 4, 4), 4, frozenset(), DEFAULT_BRUTE_LIMIT)
+    unit = ((4, 4, 4), 4, frozenset())
     results, _, orbits, _ = hunting._examine_unit((spec, *unit))
     assert orbits == 502
     assert [r.canonical_form for r in results] == ["4,4,4:0,1,0,1|0,2,1,3|2,3,2,3"]
@@ -587,6 +586,18 @@ def test_hunt_minimum_class_size_mode():
     # sweeps one-colour and two-colour assignments; only abab is blocked
     assert [r.canonical_form for r in outcome.results] == ["4:0,1,0,1"]
     assert outcome.candidates_examined == 4
+
+
+def test_hunt_twelve_edge_bipartite_sweep_with_classes_of_at_least_3():
+    # Conjecture 1's bipartite case as stated (every class at least 3) at 12
+    # edges: 4,727 orbits, as Burnside's lemma counts them, and one blocker,
+    # the 12-edge witness with four classes of 3
+    spec = SearchSpec(12, 3, require_bipartite=True, class_size_is_minimum=True)
+    outcome = hunt(spec)
+    assert outcome.candidates_examined == 245730
+    assert outcome.orbits_examined == 4727
+    assert outcome.exhausted
+    assert [r.canonical_form for r in outcome.results] == ["4,4,4:0,1,0,1|0,2,1,3|2,3,2,3"]
 
 
 def test_hunt_threshold_spaces_are_empty():
@@ -753,9 +764,7 @@ def test_class_size_one_unit_keeps_no_colour_maps():
     spec = SearchSpec(max_edges=12, colour_class_size=1)
     tracemalloc.start()
     try:
-        found, _, orbits, _ = hunting._examine_unit(
-            (spec, (3, 3, 3, 3), 12, frozenset(), DEFAULT_BRUTE_LIMIT)
-        )
+        found, _, orbits, _ = hunting._examine_unit((spec, (3, 3, 3, 3), 12, frozenset()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -794,7 +803,7 @@ def test_engine_and_brute_force_disagreement_is_caught(monkeypatch):
     monkeypatch.setattr(hunting, "_walk", lambda *args, **kwargs: (None, 1))
     spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
     with pytest.raises(RuntimeError, match="backtracking and brute force disagree on 4:0,0,1,1"):
-        hunting._examine_unit((spec, (4,), 2, frozenset(), DEFAULT_BRUTE_LIMIT))
+        hunting._examine_unit((spec, (4,), 2, frozenset()))
 
 
 @pytest.mark.parametrize(
@@ -829,10 +838,10 @@ def test_a_find_against_the_2_delta_threshold_is_caught(monkeypatch):
     monkeypatch.setattr(
         hunting,
         "brute_force_full_rainbow",
-        lambda graph, limit: (solver.SolveOutcome(None, 1, True), 0),
+        lambda graph: (solver.SolveOutcome(None, 1, True), 0),
     )
     with pytest.raises(RuntimeError, match="2\\*Delta found: 4:0,0,0,0"):
-        hunting._examine_unit((SearchSpec(4, 4), (4,), 1, frozenset(), DEFAULT_BRUTE_LIMIT))
+        hunting._examine_unit((SearchSpec(4, 4), (4,), 1, frozenset()))
 
 
 def test_recheck_structure_compares_degree_statistics():
