@@ -830,6 +830,41 @@ def test_a_wrong_engine_witness_is_caught_by_the_hunter(monkeypatch, witness):
         hunt(spec)
 
 
+def test_a_unit_past_the_matching_bound_never_runs_the_engine(monkeypatch):
+    # four colours need four disjoint edges, but a triangle holds one and a
+    # 5-cycle two: every orbit is blocked, and only the oracle is asked
+    def walk(*args, **kwargs):
+        raise AssertionError("the engine ran on a unit past the matching bound")
+
+    monkeypatch.setattr(hunting, "_walk", walk)
+    payload = (SearchSpec(8, 2), (3, 5), 4, frozenset())
+    found, _, orbits, _ = hunting._examine_unit(payload)
+    assert orbits == len(found) > 0
+    monkeypatch.setattr(
+        hunting,
+        "brute_force_full_rainbow",
+        lambda graph: (solver.SolveOutcome(frozenset(range(4)), 1, True), 1),
+    )
+    with pytest.raises(RuntimeError, match="the matching bound and brute force disagree on 3,5:"):
+        hunting._examine_unit(payload)
+
+
+def test_the_engine_runs_only_where_no_earlier_witness_answers(monkeypatch):
+    # 1,751 orbits, one blocked: the engine answers 226 of them, and the
+    # unit's earlier witnesses the rest
+    calls = []
+    walk = hunting._walk
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(hunting, "_walk", counted)
+    outcome = hunt(SearchSpec(max_edges=12, colour_class_size=3))
+    assert (outcome.orbits_examined, len(outcome.results)) == (1751, 1)
+    assert len(calls) == 226
+
+
 def test_a_find_against_the_2_delta_threshold_is_caught(monkeypatch):
     # one colour on all four edges of a 4-cycle: delta(V1) = 4 >= 2 * Delta,
     # so the proved threshold forbids a block; an engine and an oracle that
@@ -890,16 +925,20 @@ def test_recheck_structure_bounds_an_exact_class_size_from_above():
         SearchSpec(max_edges=12, colour_class_size=3),
         SearchSpec(max_edges=12, colour_class_size=3, require_bipartite=True),
         SearchSpec(max_edges=9, colour_class_size=2, class_size_is_minimum=True),
+        SearchSpec(max_edges=12, colour_class_size=3, require_bipartite=True, class_size_is_minimum=True),
     ],
-    ids=["exact-2", "exact-3", "bipartite-3", "minimum-2"],
+    ids=["exact-2", "exact-3", "bipartite-3", "minimum-2", "bipartite-minimum-3"],
 )
 def test_orbit_tables_and_statistics_match_the_graph(spec):
     # the tables the hunter reads off each colour string through the unit's
     # plan are exactly the engine's own for the string's graph, whose
     # smallest class is the class size when that is exact, and whose vertex
-    # degree is 2
+    # degree is 2; and the hunter, which answers most orbits by the matching
+    # bound or an earlier witness, reports exactly the orbits the engine
+    # finds no witness on
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
     orbits = 0
+    blocked = []
     for shape, colours in hunting._work_units(spec):
         read = solver._plan(colours, hunting._cycle_endpoints(shape))
         for flat in hunting._orderly_strings(shape, colours, class_size, minimum):
@@ -908,8 +947,12 @@ def test_orbit_tables_and_statistics_match_the_graph(spec):
             assert tables == solver._tables(graph)
             assert minimum or colour_stats(graph).minimum == class_size
             assert max_degree(graph) == 2
+            if solver._walk(tables, must_pick=True)[0] is None:
+                blocked.append(canonical_label(shape, hunting._reshape(shape, flat)))
             orbits += 1
-    assert orbits == hunt(spec).orbits_examined
+    outcome = hunt(spec)
+    assert orbits == outcome.orbits_examined
+    assert [r.canonical_form for r in outcome.results] == blocked
 
 
 def test_only_blocked_orbits_get_a_graph(monkeypatch):
