@@ -58,7 +58,6 @@ from .hunting import (
     HuntOutcome,
     SearchResult,
     SearchSpec,
-    canonical_colouring,
     canonical_label,
     graph_from_cycle_colouring,
     hunt,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "InvalidInstanceError",
@@ -177,6 +177,23 @@ def bipartition(graph: ColouredMultigraph) -> Optional[tuple[set[int], set[int]]
     return left, right
 
 
+def _is_rainbow_matching(ends: Sequence, colours: Sequence[int], indices: Iterable[int]) -> bool:
+    """True iff every index is in range, so none is negative, and the indexed
+    edges are pairwise vertex-disjoint with pairwise distinct colours.  An
+    item of ``ends`` starts with its edge's endpoints; ``colours`` is parallel."""
+    occupied: set[int] = set()
+    used: set[int] = set()
+    for i in indices:
+        if not (0 <= i < len(ends)):
+            return False
+        u, v = ends[i][:2]
+        if u in occupied or v in occupied or colours[i] in used:
+            return False
+        occupied.update((u, v))
+        used.add(colours[i])
+    return True
+
+
 def verify_matching(graph: ColouredMultigraph, edge_indices: Iterable[int]) -> bool:
     """True iff the referenced edges are pairwise vertex-disjoint.
 
@@ -187,25 +204,16 @@ def verify_matching(graph: ColouredMultigraph, edge_indices: Iterable[int]) -> b
     for i in indices:
         if not (0 <= i < len(graph.edges)):
             raise IndexError(f"edge index {i} out of range for {len(graph.edges)} edges")
-    occupied: set[int] = set()
-    for i in indices:
-        e = graph.edges[i]
-        if e.u in occupied or e.v in occupied:
-            return False
-        occupied.add(e.u)
-        occupied.add(e.v)
-    return True
+    # each edge its own colour, so only the vertices can clash
+    return _is_rainbow_matching(graph.edges, range(len(graph.edges)), indices)
 
 
 def is_full_rainbow(graph: ColouredMultigraph, edge_indices: Iterable[int]) -> bool:
     """True iff the edges form a matching with exactly one edge of every colour."""
     indices = list(edge_indices)  # checked by verify_matching
-    if not verify_matching(graph, indices):
-        return False
-    counts = [0] * graph.colour_count
-    for i in indices:
-        counts[graph.edges[i].colour] += 1
-    return all(count == 1 for count in counts)
+    full = verify_matching(graph, indices) and len(indices) == graph.colour_count
+    # as many distinct colours as there are colours: each colour once
+    return full and _is_rainbow_matching(graph.edges, [e.colour for e in graph.edges], indices)
 
 
 # --- serialization -----------------------------------------------------------

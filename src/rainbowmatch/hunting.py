@@ -31,10 +31,10 @@ Each canonical string is examined from the string itself, as are its
 degree statistics.  A unit whose cycles hold fewer disjoint edges than it
 has colours is blocked on every string; elsewhere a string is tried on the
 unit's recent witnesses before the find engine walks the tables its set-up
-reads off the string.  Every witness is checked against the string and the
-cycle endpoints.  Only a blocked string gets edge triples and a validated
-graph, on which the brute-force oracle and an independent structure check
-confirm the find.
+reads off the string.  The graph module's range-safe predicate checks every
+witness on the string and the cycle endpoints.  Only a blocked string gets
+edge triples and a validated graph, on which the brute-force oracle and an
+independent structure check confirm the find.
 
 The sweep is lazy: work units are generated in sweep order as the hunt
 reaches them, so a hunt stopped by ``stop_after`` costs nothing for the
@@ -54,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .graphs import ColouredMultigraph, build_graph, is_bipartite
+from .graphs import ColouredMultigraph, _is_rainbow_matching, build_graph, is_bipartite
 from .hypergraphs import DegreeStats
 from .solver import _plan, _walk, brute_force_full_rainbow
 
@@ -63,7 +63,6 @@ __all__ = [
     "SearchResult",
     "AbsenceCertificate",
     "HuntOutcome",
-    "canonical_colouring",
     "canonical_label",
     "graph_from_cycle_colouring",
     "hunt",
@@ -623,15 +622,16 @@ def _examine_unit(
     last few witnesses, one of which answers it when its positions carry
     every colour; on a miss the engine walks the tables that its plan of
     the cycle endpoints, built once, reads off the string (valid by
-    construction).  A witness is checked against the string and the
-    endpoints, by code it shares nothing with, before it answers an orbit
-    or joins the list, or RuntimeError is raised.  Only a blocked orbit gets
-    a validated graph, on which the brute-force oracle and
+    construction).  A witness answers an orbit or joins the list only with
+    one edge per colour that :func:`graphs._is_rainbow_matching`, sharing
+    no code with the engine, accepts on the endpoints and the string (every
+    index in range); any other raises RuntimeError.  Only a blocked orbit
+    gets a validated graph, on which the brute-force oracle and
     :func:`_recheck_structure` confirm the block independently.
     """
     spec, shape, colours, skip_forms = args
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
-    pairs, total, palette = _cycle_endpoints(shape), sum(shape), list(range(colours))
+    pairs = _cycle_endpoints(shape)
     # past the matching bound every orbit is blocked, and no engine is planned
     read = _plan(colours, pairs) if colours <= sum(n // 2 for n in shape) else None
     witnesses: list[list[int]] = []
@@ -655,11 +655,7 @@ def _examine_unit(
         else:
             witness = _walk(read(flat), must_pick=True)[0] if read else None
         if witness is not None:
-            # a position out of range has no ends, so two ends per position
-            # put every position in range and on vertices of its own; and
-            # their colours, sorted, are each colour once
-            ends = {end for p in witness if 0 <= p < total for end in pairs[p]}
-            if len(ends) != 2 * len(witness) or sorted(flat[p] for p in witness) != palette:
+            if len(witness) != colours or not _is_rainbow_matching(pairs, flat, witness):
                 label = canonical_label(shape, _reshape(shape, flat))
                 raise RuntimeError(
                     f"the engine returned an invalid witness {sorted(witness)} on {label}"
@@ -689,7 +685,7 @@ def _examine_unit(
                 canonical_form=label,
             )
         )
-    size = _space_size(total, colours, class_size, minimum)
+    size = _space_size(sum(shape), colours, class_size, minimum)
     return results, size, orbits, skipped
 
 

@@ -11,7 +11,7 @@ import itertools
 import math
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import ColouredMultigraph, is_full_rainbow, verify_matching
+from .graphs import ColouredMultigraph, _is_rainbow_matching
 
 __all__ = [
     "SolveOutcome",
@@ -274,20 +274,15 @@ def _walk(tables: tuple, must_pick: bool, cap: Optional[int] = None) -> tuple[Op
     return (None if must_pick else best), nodes
 
 
-def _checked(graph: ColouredMultigraph, witness: list[int], full: bool) -> frozenset[int]:
-    """The engine's witness as a set, once the graph module's predicates,
-    which share no code with the engine, accept it: a matching with
-    pairwise distinct colours, and one edge of every colour when ``full``.
-    A witness that fails raises RuntimeError, as a disagreement between the
-    engine and the brute-force oracle does.
+def _checked(graph: ColouredMultigraph, witness: list[int], size: int) -> frozenset[int]:
+    """The engine's witness as a set, once it has ``size`` edges and
+    :func:`graphs._is_rainbow_matching`, which shares no code with the
+    engine, accepts it.  Any other witness, one with an index out of range
+    or negative included, raises RuntimeError, as a disagreement between
+    the engine and the brute-force oracle does.
     """
-    if full:
-        valid = is_full_rainbow(graph, witness)
-    else:
-        valid = verify_matching(graph, witness) and len(
-            {graph.edges[i].colour for i in witness}
-        ) == len(witness)
-    if not valid:
+    colours = [e.colour for e in graph.edges]
+    if len(witness) != size or not _is_rainbow_matching(graph.edges, colours, witness):
         raise RuntimeError(f"the engine returned an invalid witness {sorted(witness)}")
     return frozenset(witness)
 
@@ -296,15 +291,15 @@ def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
     """Decide by complete backtracking whether a full rainbow matching exists.
 
     Returns a witness (as edge indices) when one exists; otherwise absence is
-    certified by exhausting the pruned search tree.  A witness is checked
-    with :func:`graphs.is_full_rainbow` before it is returned.  The empty
-    graph has the empty matching: with no colours the requirement is vacuous.
+    certified by exhausting the pruned search tree.  A witness is checked by
+    :func:`_checked`, with one edge per colour, before it is returned.  The
+    empty graph has the empty matching: no colours, no requirement.
     ``nodes_explored`` counts the search nodes entered; states skipped as
     already refuted are not nodes.
     """
     matching, nodes = _walk(_tables(graph), must_pick=True)
     return SolveOutcome(
-        matching=None if matching is None else _checked(graph, matching, True),
+        matching=None if matching is None else _checked(graph, matching, graph.colour_count),
         nodes_explored=nodes,
         exhaustive=matching is None,
     )
@@ -329,16 +324,16 @@ def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]
     full set, the uncapped search would keep its first set of n - 1 edges,
     since it replaces the best set only by a strictly larger one.
 
-    Either set is checked before it is returned: a matching with pairwise
-    distinct colours, and full rainbow when find mode answers.
+    Either set is checked by :func:`_checked` before it is returned, with n
+    edges when find mode answers.
     """
     n = graph.colour_count
     tables = _tables(graph)
     full, _ = _walk(tables, must_pick=True)
     if full is not None:
-        return n, _checked(graph, full, True)
+        return n, _checked(graph, full, n)
     best, _ = _walk(tables, must_pick=False, cap=n - 1)
-    return len(best), _checked(graph, best, False)
+    return len(best), _checked(graph, best, len(best))
 
 
 def brute_force_full_rainbow(

@@ -11,7 +11,6 @@ import pytest
 from rainbowmatch import (
     SearchSpec,
     brute_force_full_rainbow,
-    canonical_colouring,
     canonical_label,
     colour_stats,
     find_full_rainbow_matching,
@@ -21,7 +20,7 @@ from rainbowmatch import (
 )
 from rainbowmatch import hunting, solver
 from rainbowmatch.graphs import build_graph, graph_to_json
-from rainbowmatch.hunting import read_certified_forms, result_line, summary_record
+from rainbowmatch.hunting import canonical_colouring, read_certified_forms, result_line, summary_record
 from rainbowmatch.hypergraphs import DegreeStats
 
 

@@ -76,7 +76,14 @@ def test_max_rainbow_single_edge_and_empty(single_edge):
 
 
 # wrong witnesses on the four-cycle, whose edges 0-3 alternate colours 0 and 1
-WRONG_WITNESSES = {"shared vertex": [0, 1], "repeated colour": [0, 2], "missing colour": [1]}
+WRONG_WITNESSES = {
+    "shared vertex": [0, 1],
+    "repeated colour": [0, 2],
+    "missing colour": [1],
+    # one index per colour, but edge 4 does not exist and edge -1 would read edge 3
+    "index past the last edge": [0, 4],
+    "negative index": [-1, 2],
+}
 
 
 @pytest.mark.parametrize("witness", WRONG_WITNESSES.values(), ids=WRONG_WITNESSES)
@@ -97,6 +104,23 @@ def test_a_wrong_engine_witness_is_caught(monkeypatch, four_cycle, witness):
     else:
         with pytest.raises(RuntimeError, match="invalid witness"):
             max_rainbow_matching(four_cycle)
+
+
+@pytest.mark.parametrize("witness", [[0, 7], [0, -1], [7]])
+def test_an_engine_index_out_of_range_is_caught(monkeypatch, witness):
+    # two disjoint edges of two colours: edge -1 would read edge 1, and
+    # [0, -1] would pass as full rainbow if the index were not range-checked
+    g = build_graph(4, 2, [(0, 1, 0), (2, 3, 1)])
+    monkeypatch.setattr(solver, "_walk", lambda *args, **kwargs: (list(witness), 1))
+    for solve in (find_full_rainbow_matching, max_rainbow_matching):
+        with pytest.raises(RuntimeError, match="invalid witness"):
+            solve(g)
+    # the branch and bound answers
+    monkeypatch.setattr(
+        solver, "_walk", lambda tables, must_pick, cap=None: (None if must_pick else list(witness), 1)
+    )
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        max_rainbow_matching(g)
 
 
 def test_max_rainbow_witness_is_valid_rainbow():
