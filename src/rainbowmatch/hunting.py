@@ -29,12 +29,15 @@ tested whole or cut with its prefix; the count comes from a formula
 
 Each canonical string is examined from the string itself, as are its
 degree statistics.  A unit whose cycles hold fewer disjoint edges than it
-has colours is blocked on every string; elsewhere a string is tried on the
-unit's recent witnesses before the find engine walks the tables its set-up
-reads off the string.  The graph module's range-safe predicate checks every
-witness on the string and the cycle endpoints.  Only a blocked string gets
-edge triples and a validated graph, on which the brute-force oracle and an
-independent structure check confirm the find.
+has colours is blocked on every string, and one with twice as many edges as
+colours is decided by the alternating halves of its cycles, its only
+perfect matchings; elsewhere a string is tried on the unit's recent
+witnesses before the find engine walks the tables its set-up reads off the
+string.  The graph module's range-safe predicate checks every witness on
+the string and the cycle endpoints.  Only a blocked string gets edge
+triples and a validated graph, on which the brute-force oracle and an
+independent structure check confirm the find.  The records a hunt writes
+are built and read by :mod:`rainbowmatch.records`, re-exported here.
 
 The sweep is lazy: work units are generated in sweep order as the hunt
 reaches them, so a hunt stopped by ``stop_after`` costs nothing for the
@@ -47,7 +50,6 @@ import collections
 import contextlib
 import functools
 import itertools
-import json
 import math
 import signal
 import sys
@@ -56,6 +58,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .graphs import ColouredMultigraph, _is_rainbow_matching, build_graph, is_bipartite
 from .hypergraphs import DegreeStats
+from .records import MalformedRecordError, read_certified_forms, result_line, summary_record
 from .solver import _plan, _walk, brute_force_full_rainbow
 
 __all__ = [
@@ -558,6 +561,16 @@ def _cycle_endpoints(shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@functools.cache
+def _alternating_halves(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The perfect matchings of :func:`_cycle_endpoints`, as sorted positions:
+    one alternating half of each cycle (none if a cycle is odd)."""
+    if any(n % 2 for n in shape):
+        return ()
+    cycles = _reshape(shape, tuple(range(sum(shape))))
+    return tuple(sum(halves, ()) for halves in itertools.product(*[(c[::2], c[1::2]) for c in cycles]))
+
+
 def graph_from_cycle_colouring(
     shape: tuple[int, ...], flat: tuple[int, ...], colours: int
 ) -> ColouredMultigraph:
@@ -617,8 +630,11 @@ def _examine_unit(
     orbit count and the orbits skipped as already certified.  delta(V1) is
     the smallest colour class, the class size when that is exact, and
     Delta(V2 u V3) is 2.  A cycle of length L holds L // 2 disjoint edges at
-    most, so a unit with more colours is blocked on every orbit and plans
-    no engine.  In any other unit a string is tried first on the unit's
+    most, so a unit with more colours is blocked on every orbit.  In a unit
+    with twice as many edges as colours a full rainbow matching covers every
+    vertex, so it is one alternating half per cycle, and an orbit is
+    positive when one such union carries every colour.  Neither unit plans
+    the engine.  In any other unit a string is tried first on the unit's
     last few witnesses, one of which answers it when its positions carry
     every colour; on a miss the engine walks the tables that its plan of
     the cycle endpoints, built once, reads off the string (valid by
@@ -627,14 +643,21 @@ def _examine_unit(
     no code with the engine, accepts on the endpoints and the string (every
     index in range); any other raises RuntimeError.  Only a blocked orbit
     gets a validated graph, on which the brute-force oracle and
-    :func:`_recheck_structure` confirm the block independently.
+    :func:`_recheck_structure` confirm the block independently.  An orbit
+    is labelled for the skip test only in a unit with skipped forms.
     """
     spec, shape, colours, skip_forms = args
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
     pairs = _cycle_endpoints(shape)
-    # past the matching bound every orbit is blocked, and no engine is planned
-    read = _plan(colours, pairs) if colours <= sum(n // 2 for n in shape) else None
-    witnesses: list[list[int]] = []
+    if colours > sum(n // 2 for n in shape):
+        source, witnesses, read = "the matching bound", [], None
+    elif 2 * colours == len(pairs):
+        source, witnesses, read = "the alternating halves", list(_alternating_halves(shape)), None
+    else:
+        source, witnesses, read = "backtracking", [], _plan(colours, pairs)
+    # labels are built only to look up this shape's skipped forms
+    prefix = canonical_label(shape, ())
+    skip_forms = {form for form in skip_forms if form.startswith(prefix)}
     exact = DegreeStats(class_size, 2)
     results: list[SearchResult] = []
     orbits = skipped = 0
@@ -650,24 +673,22 @@ def _examine_unit(
             continue
         for i, known in enumerate(witnesses):
             if len({flat[p] for p in known}) == colours:
-                witness = witnesses.pop(i)
+                witness = witnesses.pop(i) if read else known
                 break
         else:
             witness = _walk(read(flat), must_pick=True)[0] if read else None
         if witness is not None:
             if len(witness) != colours or not _is_rainbow_matching(pairs, flat, witness):
                 label = canonical_label(shape, _reshape(shape, flat))
-                raise RuntimeError(
-                    f"the engine returned an invalid witness {sorted(witness)} on {label}"
-                )
-            witnesses.insert(0, witness)
-            del witnesses[_WITNESSES:]
+                raise RuntimeError(f"{source} gave an invalid witness {sorted(witness)} on {label}")
+            if read:
+                witnesses.insert(0, witness)
+                del witnesses[_WITNESSES:]
             continue
         label = canonical_label(shape, _reshape(shape, flat))
         graph = graph_from_cycle_colouring(shape, flat, colours)
         outcome, matching_count = brute_force_full_rainbow(graph)
         if matching_count != 0 or outcome.matching is not None:
-            source = "backtracking" if read else "the matching bound"
             raise RuntimeError(f"{source} and brute force disagree on {label}")
         if stats.delta_v1 >= 2 * stats.delta_max_rest:
             # Contradicts the proved 2*Delta degree threshold; a find here
@@ -788,78 +809,3 @@ def hunt(
         exhausted=exhausted,
     )
 
-
-# --- JSON-lines persistence ---------------------------------------------------
-
-def result_line(result: SearchResult) -> str:
-    """The result's JSON record as one line, byte for byte ``json.dumps`` with
-    compact separators but built without a dict: every value is a non-negative
-    int and the canonical form holds only digits and ``,|:``, so nothing is escaped."""
-    graph, stats, certificate = result.instance, result.stats, result.certificate
-    return (
-        '{"type":"result","canonical":"%s","shape":[%s],"edges_total":%d,'
-        '"delta_v1":%d,"delta_max_rest":%d,"certificate":{"combinations":%d,"matchings":%d},'
-        '"instance":{"vertices":%d,"colours":%d,"edges":[%s]}}\n'
-    ) % (
-        result.canonical_form, ",".join(map(str, result.shape)), sum(result.shape),
-        stats.delta_v1, stats.delta_max_rest, certificate.combinations, certificate.matchings,
-        graph.vertex_count, graph.colour_count,
-        ",".join(['{"u":%d,"v":%d,"colour":%d}' % edge for edge in graph.edges]),
-    )
-
-
-def summary_record(outcome: HuntOutcome, spec: SearchSpec) -> dict:
-    return {
-        "type": "summary",
-        "max_edges": spec.max_edges,
-        "colour_class_size": spec.colour_class_size,
-        "class_size_is_minimum": spec.class_size_is_minimum,
-        "require_bipartite": spec.require_bipartite,
-        "require_delta_gap": spec.require_delta_gap,
-        "results": len(outcome.results),
-        "candidates_examined": outcome.candidates_examined,
-        "orbits_examined": outcome.orbits_examined,
-        "skipped_known": outcome.skipped_known,
-        "exhausted": outcome.exhausted,
-    }
-
-
-class MalformedRecordError(ValueError):
-    """A hunt record stream has a line that is not a record of the hunt's form."""
-
-
-def read_certified_forms(lines: Iterator[str]) -> set[str]:
-    """Canonical forms of already-certified results in a JSON-lines stream.
-
-    Raises :class:`MalformedRecordError`, naming the line, for a line that is
-    not a JSON object and for a result record whose ``canonical`` is missing
-    or not a string, and, naming no line, for a stream of bytes that is not
-    UTF-8 (it is decoded in chunks, so the line is not known).
-    """
-    forms = set()
-    try:
-        for number, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(f"line {number} is not JSON: {exc.msg}") from exc
-            except RecursionError as exc:
-                raise MalformedRecordError(f"line {number} is not JSON: nested too deeply") from exc
-            except ValueError as exc:
-                # an integer with more digits than int() converts
-                raise MalformedRecordError(f"line {number} is not JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise MalformedRecordError(f"line {number} is not a JSON object")
-            if record.get("type") == "result":
-                form = record.get("canonical")
-                if not isinstance(form, str):
-                    raise MalformedRecordError(
-                        f"line {number} is a result record without a string \"canonical\""
-                    )
-                forms.add(form)
-    except UnicodeDecodeError as exc:
-        raise MalformedRecordError(f"not UTF-8: {exc.reason}") from exc
-    return forms

@@ -797,12 +797,78 @@ def test_hunt_class_size_one_blocks_every_shape():
 
 
 def test_engine_and_brute_force_disagreement_is_caught(monkeypatch):
-    # an engine that calls every orbit blocked is wrong on 4:0,0,1,1, whose
-    # opposite edges are a full rainbow matching
+    # an engine that calls every orbit blocked is wrong on 6:0,0,0,1,1,1,
+    # whose edges 0 and 3 are a full rainbow matching
     monkeypatch.setattr(hunting, "_walk", lambda *args, **kwargs: (None, 1))
-    spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
-    with pytest.raises(RuntimeError, match="backtracking and brute force disagree on 4:0,0,1,1"):
-        hunting._examine_unit((spec, (4,), 2, frozenset()))
+    spec = SearchSpec(max_edges=6, colour_class_size=3, require_bipartite=True)
+    with pytest.raises(RuntimeError, match="backtracking and brute force disagree on 6:0,0,0,1,1,1"):
+        hunting._examine_unit((spec, (6,), 2, frozenset()))
+
+
+@pytest.mark.parametrize("bipartite", [True, False], ids=["bipartite", "general"])
+def test_alternating_halves_are_the_perfect_matchings(bipartite):
+    # every set of half the positions whose edges share no vertex, found by
+    # brute force; a shape with an odd cycle has none
+    for shape in shapes_up_to(12 if bipartite else 10, bipartite):
+        pairs = hunting._cycle_endpoints(shape)
+        perfect = [
+            subset
+            for subset in itertools.combinations(range(len(pairs)), len(pairs) // 2)
+            if len({v for p in subset for v in pairs[p]}) == len(pairs)
+        ]
+        assert sorted(hunting._alternating_halves(shape)) == perfect, shape
+        assert len(perfect) == (2 ** len(shape) if all(n % 2 == 0 for n in shape) else 0)
+
+
+def test_a_perfect_unit_never_runs_the_engine(monkeypatch):
+    # five colours on ten edges: a full rainbow matching is perfect, one
+    # alternating half of each cycle, and only the oracle is asked
+    def walk(*args, **kwargs):
+        raise AssertionError("the engine ran on a perfect unit")
+
+    monkeypatch.setattr(hunting, "_walk", walk)
+    payload = (SearchSpec(10, 2), (4, 6), 5, frozenset())
+    found, _, orbits, _ = hunting._examine_unit(payload)
+    assert 0 < len(found) < orbits
+    monkeypatch.setattr(
+        hunting,
+        "brute_force_full_rainbow",
+        lambda graph: (solver.SolveOutcome(frozenset(range(5)), 1, True), 1),
+    )
+    with pytest.raises(RuntimeError, match="the alternating halves and brute force disagree on 4,6:"):
+        hunting._examine_unit(payload)
+
+
+def test_a_class_size_2_hunt_never_runs_the_engine(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the engine ran on a class-size-2 unit")
+
+    monkeypatch.setattr(hunting, "_walk", walk)
+    outcome = hunt(SearchSpec(max_edges=12, colour_class_size=2))
+    assert (outcome.orbits_examined, len(outcome.results)) == (1443, 1294)
+
+
+def test_resume_builds_labels_only_in_units_with_skipped_forms(monkeypatch):
+    # the one skipped form is in the (4, 4) unit; no other unit labels a
+    # positive orbit
+    labelled = []
+    label = hunting.canonical_label
+
+    def counted(shape, blocks):
+        labelled.append(shape)
+        return label(shape, blocks)
+
+    spec = SearchSpec(max_edges=8, colour_class_size=2, require_bipartite=True)
+    forms = {r.canonical_form for r in hunt(spec).results if r.shape == (4, 4)}
+    skipped = min(forms)
+    monkeypatch.setattr(hunting, "canonical_label", counted)
+    outcome = hunt(spec, skip_forms={skipped})
+    assert outcome.skipped_known == 1
+    assert skipped not in {r.canonical_form for r in outcome.results}
+    orbits_of_4_4 = sum(1 for _ in hunting._orderly_strings((4, 4), 4, 2, False))
+    # a label per unit for its prefix, one per orbit of (4, 4), one per result
+    units = sum(1 for _ in hunting._work_units(spec))
+    assert len(labelled) == units + orbits_of_4_4 + len(outcome.results)
 
 
 @pytest.mark.parametrize(
