@@ -930,6 +930,33 @@ def test_the_engine_runs_only_where_no_earlier_witness_answers(monkeypatch):
     assert len(calls) == 226
 
 
+def test_a_unit_is_examined_in_bounded_batches(monkeypatch):
+    # (3, 9) with 6 colours is past the matching bound, so each of its 150
+    # orbits (not a multiple of the batch) goes to the oracle; the generator
+    # runs ahead of the certificates, but never by more than one batch
+    spec, shape = SearchSpec(12, 2), (3, 9)
+    strings, drawn, leads = hunting._orderly_strings, [], []
+    oracle = hunting.brute_force_full_rainbow
+
+    def counted(*args):
+        for flat in strings(*args):
+            drawn.append(flat)
+            yield flat
+
+    def certify(graph):
+        leads.append(len(drawn) - len(leads))
+        return oracle(graph)
+
+    monkeypatch.setattr(hunting, "_orderly_strings", counted)
+    monkeypatch.setattr(hunting, "brute_force_full_rainbow", certify)
+    results = hunting._examine_unit((spec, shape, 6, frozenset()))[0]
+    assert len(results) == len(leads) == len(drawn) == 150
+    assert max(leads) > 1
+    assert max(leads) <= hunting._BATCH
+    labels = [canonical_label(shape, hunting._reshape(shape, flat)) for flat in drawn]
+    assert [result.canonical_form for result in results] == labels
+
+
 def test_a_find_against_the_2_delta_threshold_is_caught(monkeypatch):
     # one colour on all four edges of a 4-cycle: delta(V1) = 4 >= 2 * Delta,
     # so the proved threshold forbids a block; an engine and an oracle that
