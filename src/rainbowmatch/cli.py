@@ -32,7 +32,6 @@ from .graphs import (
     graph_to_dot,
     graph_to_json,
     is_bipartite,
-    max_degree,
 )
 
 EXIT_OK = 0
@@ -190,19 +189,18 @@ def _format_report(report: families.ConjectureReport) -> str:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     instance = hypergraphs.as_coloured_graph(_load_instance(args.input))
-    stats = colour_stats(instance)
-    degree = max_degree(instance)
-    # the hypergraph's delta(V1) and Delta(V2 u V3), read off the graph
+    multiplicities = colour_stats(instance).multiplicities
+    delta_v1, delta_rest = hypergraphs.degree_stats(instance)
     payload = {
         "vertices": instance.vertex_count,
         "colours": instance.colour_count,
         "edges": instance.edge_count,
-        "max_degree": degree,
-        "colour_multiplicities": [stats.multiplicities[c] for c in range(instance.colour_count)],
-        "min_colour_multiplicity": stats.minimum,
+        "max_degree": delta_rest,
+        "colour_multiplicities": [multiplicities[c] for c in range(instance.colour_count)],
+        "min_colour_multiplicity": delta_v1,
         "bipartite": is_bipartite(instance),
-        "delta_v1": stats.minimum,
-        "delta_max_rest": degree,
+        "delta_v1": delta_v1,
+        "delta_max_rest": delta_rest,
     }
     _write_output(args.output, _dumps(payload))
     return EXIT_OK

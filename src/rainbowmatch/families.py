@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import ColouredMultigraph, build_graph, colour_stats, is_bipartite, max_degree
-from .hypergraphs import TripartiteHypergraph, from_coloured_graph
+from .graphs import ColouredMultigraph, build_graph, is_bipartite
+from .hypergraphs import TripartiteHypergraph, degree_stats, from_coloured_graph
 from .solver import find_full_rainbow_matching
 
 __all__ = [
@@ -143,19 +143,15 @@ def conjecture_report(graph: ColouredMultigraph) -> ConjectureReport:
     exact backtracking solver.  Statements phrased over tripartite hypergraphs
     apply only when the graph is bipartite.
     """
-    degree = max_degree(graph)
-    min_multiplicity = colour_stats(graph).minimum
+    delta_v1, delta_rest = degree_stats(graph)
     bipartite = is_bipartite(graph)
     exists = find_full_rainbow_matching(graph).matching is not None
 
-    # In the graph's hypergraph, delta(V1) is the smallest colour multiplicity
-    # and Delta(V2 u V3) the maximum degree.
-    delta_v1, delta_rest = min_multiplicity, degree
     hypotheses = {
         "AB-2.5/Conj2": bipartite and delta_v1 > delta_rest,
-        "Conj1-bipartite": bipartite and min_multiplicity >= degree + 1,
+        "Conj1-bipartite": bipartite and delta_v1 >= delta_rest + 1,
         "ABCHS-6.1": bipartite and delta_v1 >= 2 + delta_rest,
-        "ABCHS-5.4/6.2": min_multiplicity >= degree + 2,
+        "ABCHS-5.4/6.2": delta_v1 >= delta_rest + 2,
         "AB-Thm-2.6": bipartite and delta_v1 >= 2 * delta_rest,
     }
     statements = {
@@ -170,8 +166,8 @@ def conjecture_report(graph: ColouredMultigraph) -> ConjectureReport:
             "found no V1-matching; this indicates a solver defect"
         )
     return ConjectureReport(
-        max_degree=degree,
-        min_colour_multiplicity=min_multiplicity,
+        max_degree=delta_rest,
+        min_colour_multiplicity=delta_v1,
         delta_v1=delta_v1,
         delta_max_rest=delta_rest,
         bipartite=bipartite,

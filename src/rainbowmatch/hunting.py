@@ -27,21 +27,21 @@ separate test.
 tested whole or cut with its prefix; the count comes from a formula
 (:func:`_space_size`), not from a walk.
 
-Each canonical string is examined from the string itself, as are its
-degree statistics.  A unit whose cycles hold fewer disjoint edges than it
-has colours is blocked on every string, and one with twice as many edges as
-colours is decided by the alternating halves of its cycles, its only
-perfect matchings; elsewhere a string is tried on the unit's recent
-witnesses before the find engine walks the tables its set-up reads off the
-string.  The graph module's range-safe predicate checks every witness on
-the string and the cycle endpoints.  Only a blocked string gets edge
-triples and a validated graph, on which the brute-force oracle and an
-independent structure check confirm the find.  A unit's strings are drawn
-from the generator a batch at a time, because generating and examining
-them string by string took 10-15% longer on the 10-edge class-size-2
-hunt than the same work run apart.  The records a hunt writes are built
-and read by :mod:`rainbowmatch.records`, and orbit labels come from
-:mod:`rainbowmatch.canonical`; both are re-exported here.
+Each canonical string is examined from the string itself.  A unit whose
+cycles hold fewer disjoint edges than it has colours is blocked on every
+string, and one with twice as many edges as colours is decided by the
+alternating halves of its cycles, its only perfect matchings; elsewhere a
+string is tried on the unit's recent witnesses before the find engine walks
+the tables its set-up reads off the string.  The graph module's range-safe
+predicate checks every witness on the string and the cycle endpoints.  Only
+a blocked string gets edge triples and a validated graph, on which the
+brute-force oracle and an independent structure check confirm the find; that
+check's count of the graph gives the find's degree statistics.  A unit's
+strings are drawn from the generator a batch at a time, because generating
+and examining them string by string took 10-15% longer on the 10-edge
+class-size-2 hunt than the same work run apart.  The records a hunt writes
+are built and read by :mod:`rainbowmatch.records`, and orbit labels come
+from :mod:`rainbowmatch.canonical`; both are re-exported here.
 
 The sweep is lazy: work units are generated in sweep order as the hunt
 reaches them, so a hunt stopped by ``stop_after`` costs nothing for the
@@ -120,6 +120,8 @@ class AbsenceCertificate(NamedTuple):
 
 
 class SearchResult(NamedTuple):
+    """A certified blocked instance; ``stats`` are counted on ``instance``."""
+
     instance: ColouredMultigraph
     shape: tuple[int, ...]
     stats: DegreeStats
@@ -530,9 +532,9 @@ def _work_units(spec: SearchSpec) -> Iterator[tuple[tuple[int, ...], int]]:
                 yield shape, k
 
 
-def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph, stats: DegreeStats) -> None:
-    # Independent re-validation of every emitted instance, and of the degree
-    # statistics the hunter read off its colour string, in one pass over the edges.
+def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph) -> DegreeStats:
+    # Independent re-validation of every emitted instance in one pass over
+    # the edges, which also counts its delta(V1) and Delta(V2 u V3).
     degree = [0] * graph.vertex_count
     sizes = [0] * graph.colour_count
     for u, v, colour in graph.edges:
@@ -546,8 +548,7 @@ def _recheck_structure(spec: SearchSpec, graph: ColouredMultigraph, stats: Degre
     size, minimum = spec.colour_class_size, spec.class_size_is_minimum
     if min(sizes, default=size) < size or not minimum and max(sizes, default=size) > size:
         raise RuntimeError("emitted instance violates the colour class size constraint")
-    if stats != DegreeStats(min(sizes, default=0), max(degree, default=0)):
-        raise RuntimeError("emitted instance's degree statistics differ from its graph's")
+    return DegreeStats(min(sizes, default=0), max(degree, default=0))
 
 
 # witnesses kept per unit: 8 answered 0.89-0.98 of the orbits of 18-edge units
@@ -563,28 +564,29 @@ def _examine_unit(
     """Examine every orbit of one (shape, colour count) unit.
 
     Returns the unit's certified blocked instances, its candidate count, its
-    orbit count and the orbits skipped as already certified.  delta(V1) is
-    the smallest colour class, the class size when that is exact, and
-    Delta(V2 u V3) is 2.  A cycle of length L holds L // 2 disjoint edges at
-    most, so a unit with more colours is blocked on every orbit.  In a unit
-    with twice as many edges as colours a full rainbow matching covers every
-    vertex, so it is one alternating half per cycle, and an orbit is
-    positive when one such union carries every colour.  Neither unit plans
-    the engine.  In any other unit a string is tried first on the unit's
-    last few witnesses, one of which answers it when its positions carry
-    every colour; on a miss the engine walks the tables that its plan of
-    the cycle endpoints, built once, reads off the string (valid by
-    construction).  A witness answers an orbit or joins the list only with
-    one edge per colour that :func:`graphs._is_rainbow_matching`, sharing
-    no code with the engine, accepts on the endpoints and the string (every
-    index in range); any other raises RuntimeError.  Only a blocked orbit
-    gets a validated graph, on which the brute-force oracle and
-    :func:`_recheck_structure` confirm the block independently.  An orbit
-    is labelled for the skip test only in a unit with skipped forms.
-    Strings are drawn from the generator :data:`_BATCH` at a time and
-    examined in order, so only one batch is held: the generator and the
-    per-orbit work interleaved string by string ran 10-15% slower on the
-    10-edge class-size-2 hunt.
+    orbit count and the orbits skipped as already certified.  Delta(V2 u V3)
+    is 2, so the gap filter reads a string's smallest class only when the
+    class size allows one of at most 2 edges.  A cycle of length L holds
+    L // 2 disjoint edges at most, so a unit with more colours is blocked on
+    every orbit.  In a unit with twice as many edges as colours a full
+    rainbow matching covers every vertex, so it is one alternating half per
+    cycle, and an orbit is positive when one such union carries every
+    colour.  Neither unit plans the engine.  In any other unit a string is
+    tried first on the unit's last few witnesses, one of which answers it
+    when its positions carry every colour; on a miss the engine walks the
+    tables that its plan of the cycle endpoints, built once, reads off the
+    string (valid by construction).  A witness answers an orbit or joins the
+    list only with one edge per colour that
+    :func:`graphs._is_rainbow_matching`, sharing no code with the engine,
+    accepts on the endpoints and the string (every index in range); any
+    other raises RuntimeError.  Only a blocked orbit gets a validated graph,
+    on which the brute-force oracle and :func:`_recheck_structure` confirm
+    the block independently, and the recheck's count of the graph gives the
+    find's degree statistics.  An orbit is labelled for the skip test only
+    in a unit with skipped forms.  Strings are drawn from the generator
+    :data:`_BATCH` at a time and examined in order, so only one batch is
+    held: the generator and the per-orbit work interleaved string by string
+    ran 10-15% slower on the 10-edge class-size-2 hunt.
     """
     spec, shape, colours, skip_forms = args
     class_size, minimum = spec.colour_class_size, spec.class_size_is_minimum
@@ -598,7 +600,6 @@ def _examine_unit(
     # labels are built only to look up this shape's skipped forms
     prefix = canonical_label(shape, ())
     skip_forms = {form for form in skip_forms if form.startswith(prefix)}
-    exact = DegreeStats(class_size, 2)
     results: list[SearchResult] = []
     orbits = skipped = 0
     strings = _orderly_strings(shape, colours, class_size, minimum)
@@ -608,10 +609,7 @@ def _examine_unit(
         if skip_forms and canonical_label(shape, _reshape(shape, flat)) in skip_forms:
             skipped += 1
             continue
-        stats = exact
-        if minimum:
-            stats = DegreeStats(min(map(flat.count, range(colours))), 2)
-        if spec.require_delta_gap and stats.delta_v1 <= stats.delta_max_rest:
+        if spec.require_delta_gap and class_size <= 2 and min(map(flat.count, range(colours))) <= 2:
             continue
         for i, known in enumerate(witnesses):
             if len({flat[p] for p in known}) == colours:
@@ -632,11 +630,11 @@ def _examine_unit(
         outcome, matching_count = brute_force_full_rainbow(graph)
         if matching_count != 0 or outcome.matching is not None:
             raise RuntimeError(f"{source} and brute force disagree on {label}")
+        stats = _recheck_structure(spec, graph)
         if stats.delta_v1 >= 2 * stats.delta_max_rest:
             # Contradicts the proved 2*Delta degree threshold; a find here
             # means the solver is broken, not that the theorem fell.
             raise RuntimeError(f"blocked instance with delta(V1) >= 2*Delta found: {label}")
-        _recheck_structure(spec, graph, stats)
         results.append(
             SearchResult(
                 instance=graph,

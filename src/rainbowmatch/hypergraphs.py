@@ -145,15 +145,16 @@ def as_coloured_graph(
     )
 
 
-def degree_stats(hypergraph: TripartiteHypergraph) -> DegreeStats:
+def degree_stats(instance: Union[ColouredMultigraph, TripartiteHypergraph]) -> DegreeStats:
     """Minimum triple-degree over V1, maximum over the remaining vertices.
 
-    Read off the graph view: V1 vertex a is colour a, whose degree is its
-    class size, and the other vertices are the graph's.  Degenerate empty
-    classes report 0, and the cost does not grow with ``v2_count`` or
-    ``v3_count``.
+    Any instance, graph or hypergraph, is read off its graph view: V1 vertex
+    a is colour a, whose degree is its class size, and the other vertices
+    are the graph's, so a graph and its hypergraph report the same.
+    Degenerate empty classes report 0, and the cost does not grow with
+    ``v2_count`` or ``v3_count``.
     """
-    graph = as_coloured_graph(hypergraph)
+    graph = as_coloured_graph(instance)
     return DegreeStats(colour_stats(graph).minimum, max_degree(graph))
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -11,7 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmatch import cli, graph_from_json, graph_to_json, hunting, is_full_rainbow
+from conftest import random_bipartite_graph, random_graph
+from rainbowmatch import (
+    cli,
+    degree_stats,
+    from_coloured_graph,
+    graph_from_json,
+    graph_to_json,
+    hunting,
+    hypergraph_to_json,
+    is_full_rainbow,
+)
 from rainbowmatch.graphs import build_graph
 
 
@@ -603,6 +614,26 @@ def test_huge_vertex_count_allocates_nothing_per_vertex(capsys, tmp_path, comman
         assert data["colour_multiplicities"] == [1]
     else:
         assert data["full_rainbow_exists"] is True
+
+
+def test_stats_and_check_report_degree_stats_of_any_instance(capsys, tmp_path):
+    # a graph and its hypergraph have the same degree_stats, and stats and
+    # check report them for either file
+    rng = random.Random(3030)
+    graphs = [random_graph(rng) for _ in range(40)] + [random_bipartite_graph(rng) for _ in range(40)]
+    path = tmp_path / "instance.json"
+    for g in graphs:
+        hypergraph = from_coloured_graph(g)
+        expected = degree_stats(g)
+        assert degree_stats(hypergraph) == expected
+        for data in (graph_to_json(g), hypergraph_to_json(hypergraph)):
+            path.write_text(json.dumps(data))
+            for command in ("stats", "check"):
+                code, out, _ = run_cli(capsys, command, str(path))
+                assert code in (0, 3)
+                data = json.loads(out)
+                stats = data if command == "stats" else data["stats"]
+                assert (stats["delta_v1"], stats["delta_max_rest"]) == expected
 
 
 def test_dot_conversion_allocates_nothing_per_isolated_vertex(capsys, tmp_path):

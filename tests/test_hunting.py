@@ -21,7 +21,7 @@ from rainbowmatch import (
 from rainbowmatch import hunting, solver
 from rainbowmatch.graphs import build_graph, graph_to_json
 from rainbowmatch.hunting import canonical_colouring, read_certified_forms, result_line, summary_record
-from rainbowmatch.hypergraphs import DegreeStats
+from rainbowmatch.hypergraphs import DegreeStats, degree_stats
 
 
 def shapes_up_to(max_edges, bipartite):
@@ -510,31 +510,38 @@ def test_gap_filter_reads_each_orbits_smallest_class():
     # the 12-edge (4,4,4) unit with 4 colours and classes of at least 2 has
     # 25 blocked orbits; the gap filter keeps exactly those whose own graph
     # has delta(V1) > Delta, the 4,4,4 blocker with classes of 3, and the
-    # statistics it reports are the graph's
-    spec = SearchSpec(
+    # statistics it reports are the graph's.  The general (3,3,4) unit with
+    # 4 colours has odd cycles and 28 blocked orbits, each with a class of
+    # 2, so the filter keeps none of them
+    bipartite = SearchSpec(
         max_edges=12,
         colour_class_size=2,
         require_bipartite=True,
         class_size_is_minimum=True,
         require_delta_gap=True,
     )
-    unit = ((4, 4, 4), 4, frozenset())
-    results, _, orbits, _ = hunting._examine_unit((spec, *unit))
-    assert orbits == 502
-    assert [r.canonical_form for r in results] == ["4,4,4:0,1,0,1|0,2,1,3|2,3,2,3"]
-    for result in results:
-        graph = result.instance
-        assert result.stats == DegreeStats(colour_stats(graph).minimum, max_degree(graph))
-    plain, _, _, _ = hunting._examine_unit(
-        (dataclasses.replace(spec, require_delta_gap=False), *unit)
-    )
-    assert len(plain) == 25
-    kept = [
-        r.canonical_form
-        for r in plain
-        if colour_stats(r.instance).minimum > max_degree(r.instance)
+    general = dataclasses.replace(bipartite, max_edges=10, require_bipartite=False)
+    cases = [
+        (bipartite, ((4, 4, 4), 4, frozenset()), 502, 25, ["4,4,4:0,1,0,1|0,2,1,3|2,3,2,3"]),
+        (general, ((3, 3, 4), 4, frozenset()), 93, 28, []),
     ]
-    assert kept == [r.canonical_form for r in results]
+    for spec, unit, orbit_count, blocked, gapped in cases:
+        results, _, orbits, _ = hunting._examine_unit((spec, *unit))
+        assert orbits == orbit_count
+        assert [r.canonical_form for r in results] == gapped
+        for result in results:
+            graph = result.instance
+            assert result.stats == DegreeStats(colour_stats(graph).minimum, max_degree(graph))
+        plain, _, _, _ = hunting._examine_unit(
+            (dataclasses.replace(spec, require_delta_gap=False), *unit)
+        )
+        assert len(plain) == blocked
+        kept = [
+            r.canonical_form
+            for r in plain
+            if colour_stats(r.instance).minimum > max_degree(r.instance)
+        ]
+        assert kept == gapped
 
 
 def test_hunt_eight_edges_full_sweep():
@@ -971,13 +978,24 @@ def test_a_find_against_the_2_delta_threshold_is_caught(monkeypatch):
         hunting._examine_unit((SearchSpec(4, 4), (4,), 1, frozenset()))
 
 
-def test_recheck_structure_compares_degree_statistics():
-    spec = SearchSpec(max_edges=4, colour_class_size=2, require_bipartite=True)
-    graph = graph_from_cycle_colouring((4,), (0, 1, 0, 1), 2)
-    hunting._recheck_structure(spec, graph, DegreeStats(2, 2))
-    for stats in (DegreeStats(1, 2), DegreeStats(2, 3), DegreeStats(3, 2)):
-        with pytest.raises(RuntimeError, match="degree statistics"):
-            hunting._recheck_structure(spec, graph, stats)
+def test_recheck_structure_returns_the_graphs_statistics():
+    # the recheck's one pass counts delta(V1) and Delta(V2 u V3) as
+    # degree_stats reads them off the graph, with equal and unequal classes
+    cases = [
+        (SearchSpec(4, 2, require_bipartite=True), (4,), (0, 1, 0, 1), 2, DegreeStats(2, 2)),
+        (SearchSpec(6, 2), (3, 3), (0, 1, 2, 0, 1, 2), 3, DegreeStats(2, 2)),
+        # classes of 3, 4 and 3 edges
+        (
+            SearchSpec(10, 2, class_size_is_minimum=True),
+            (3, 3, 4),
+            (0, 0, 1, 0, 1, 2, 1, 2, 1, 2),
+            3,
+            DegreeStats(3, 2),
+        ),
+    ]
+    for spec, shape, flat, colours, expected in cases:
+        graph = graph_from_cycle_colouring(shape, flat, colours)
+        assert hunting._recheck_structure(spec, graph) == degree_stats(graph) == expected
 
 
 def test_recheck_structure_rejects_a_graph_that_is_not_2_regular():
@@ -985,14 +1003,14 @@ def test_recheck_structure_rejects_a_graph_that_is_not_2_regular():
     # a path 0-1-2: its ends have degree 1
     graph = build_graph(3, 1, [(0, 1, 0), (1, 2, 0)])
     with pytest.raises(RuntimeError, match="not 2-regular"):
-        hunting._recheck_structure(spec, graph, DegreeStats(2, 2))
+        hunting._recheck_structure(spec, graph)
 
 
 def test_recheck_structure_rejects_an_odd_cycle_when_bipartite():
     graph = graph_from_cycle_colouring((3, 3), (0, 1, 2, 0, 1, 2), 3)
-    hunting._recheck_structure(SearchSpec(6, 2), graph, DegreeStats(2, 2))
+    hunting._recheck_structure(SearchSpec(6, 2), graph)
     with pytest.raises(RuntimeError, match="not bipartite"):
-        hunting._recheck_structure(SearchSpec(6, 2, require_bipartite=True), graph, DegreeStats(2, 2))
+        hunting._recheck_structure(SearchSpec(6, 2, require_bipartite=True), graph)
 
 
 @pytest.mark.parametrize("minimum", [False, True], ids=["exact", "minimum"])
@@ -1000,14 +1018,14 @@ def test_recheck_structure_rejects_a_class_below_the_class_size(minimum):
     graph = graph_from_cycle_colouring((4,), (0, 1, 0, 1), 2)
     spec = SearchSpec(max_edges=4, colour_class_size=3, class_size_is_minimum=minimum)
     with pytest.raises(RuntimeError, match="colour class size constraint"):
-        hunting._recheck_structure(spec, graph, DegreeStats(2, 2))
+        hunting._recheck_structure(spec, graph)
 
 
 def test_recheck_structure_bounds_an_exact_class_size_from_above():
     graph = graph_from_cycle_colouring((4,), (0, 1, 0, 1), 2)
-    hunting._recheck_structure(SearchSpec(4, 1, class_size_is_minimum=True), graph, DegreeStats(2, 2))
+    hunting._recheck_structure(SearchSpec(4, 1, class_size_is_minimum=True), graph)
     with pytest.raises(RuntimeError, match="colour class size constraint"):
-        hunting._recheck_structure(SearchSpec(4, 1), graph, DegreeStats(2, 2))
+        hunting._recheck_structure(SearchSpec(4, 1), graph)
 
 
 @pytest.mark.parametrize(
