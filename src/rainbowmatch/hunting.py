@@ -631,10 +631,12 @@ def _examine_unit(
         if matching_count != 0 or outcome.matching is not None:
             raise RuntimeError(f"{source} and brute force disagree on {label}")
         stats = _recheck_structure(spec, graph)
-        if stats.delta_v1 >= 2 * stats.delta_max_rest:
-            # Contradicts the proved 2*Delta degree threshold; a find here
-            # means the solver is broken, not that the theorem fell.
-            raise RuntimeError(f"blocked instance with delta(V1) >= 2*Delta found: {label}")
+        if stats.delta_v1 >= 2 * stats.delta_max_rest and is_bipartite(graph):
+            # AB-Thm-2.6 proves the 2*Delta threshold for bipartite graphs,
+            # so such a find means the engine and the oracle are both wrong.
+            # It says nothing of odd cycles: there the find is emitted, and
+            # at Delta = 2 it contradicts ABCHS-5.4/6.2.
+            raise RuntimeError(f"blocked bipartite instance with delta(V1) >= 2*Delta found: {label}")
         results.append(
             SearchResult(
                 instance=graph,

@@ -1,8 +1,9 @@
 """Exact search for full rainbow matchings, plus an independent brute-force oracle.
 
-The decision problem is NP-hard in general, so nothing here carries a
+The decision problem is NP-hard in general, so the search carries no
 polynomial-time guarantee; the node counter and the guard on the brute-force
-enumeration keep the cost observable.
+enumeration keep the cost observable.  Max mode takes a lattice certificate
+(:mod:`rainbowmatch.lattice`) for find mode's "none" where one exists.
 """
 
 from __future__ import annotations
@@ -308,13 +309,16 @@ def find_full_rainbow_matching(graph: ColouredMultigraph) -> SolveOutcome:
 def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]]:
     """Largest set of pairwise-disjoint edges with pairwise-distinct colours.
 
-    The engine runs in find mode first: a full rainbow matching is a maximum
-    one.  Otherwise n - 1 edges, for n colours, is a proved upper bound, and
-    a branch and bound over the same static colour order follows, stopping
-    at its first set of n - 1 edges.  Each colour is either represented by
-    one of its free edges (tried in sequence order) or skipped; the bound at
-    a node is the selected count plus the number of later colours that still
-    have a free edge, which can never be exceeded below that node.
+    A lattice certificate that :func:`lattice.check_certificate` accepts
+    proves there is no full rainbow matching (a rejected one raises
+    RuntimeError); without one, find mode runs: a full rainbow matching is
+    a maximum one.  Otherwise n - 1 edges, for n colours, is a proved upper
+    bound, and a branch and bound over the same static colour order follows,
+    stopping at its first set of n - 1 edges.  Each colour is either
+    represented by one of its free edges (tried in sequence order) or
+    skipped; the bound at a node is the selected count plus the number of
+    later colours that still have a free edge, which can never be exceeded
+    below that node.
 
     The witness is deterministic: the first maximum-size set in the branch
     and bound's search order, as if it ran uncapped.  The bound cuts no
@@ -327,11 +331,19 @@ def max_rainbow_matching(graph: ColouredMultigraph) -> tuple[int, frozenset[int]
     Either set is checked by :func:`_checked` before it is returned, with n
     edges when find mode answers.
     """
+    # imported here: nothing else reads it, so importing the package for a
+    # solve or a hunt neither compiles nor holds it
+    from . import lattice
+
     n = graph.colour_count
+    certificate = lattice.lattice_certificate(graph)
     tables = _tables(graph)
-    full, _ = _walk(tables, must_pick=True)
-    if full is not None:
-        return n, _checked(graph, full, n)
+    if certificate is None:
+        full, _ = _walk(tables, must_pick=True)
+        if full is not None:
+            return n, _checked(graph, full, n)
+    elif not lattice.check_certificate(graph, *certificate):
+        raise RuntimeError(f"the lattice reduction gave an invalid certificate (modulus {certificate[1]})")
     best, _ = _walk(tables, must_pick=False, cap=n - 1)
     return len(best), _checked(graph, best, len(best))
 

@@ -19,7 +19,7 @@ from rainbowmatch import (
     max_degree,
 )
 from rainbowmatch import hunting, solver
-from rainbowmatch.graphs import build_graph, graph_to_json
+from rainbowmatch.graphs import build_graph, graph_to_json, is_bipartite
 from rainbowmatch.hunting import canonical_colouring, read_certified_forms, result_line, summary_record
 from rainbowmatch.hypergraphs import DegreeStats, degree_stats
 
@@ -976,6 +976,25 @@ def test_a_find_against_the_2_delta_threshold_is_caught(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="2\\*Delta found: 4:0,0,0,0"):
         hunting._examine_unit((SearchSpec(4, 4), (4,), 1, frozenset()))
+
+
+def test_the_2_delta_guard_holds_bipartite_finds_only(monkeypatch):
+    # classes of 4 on 2-regular graphs: delta(V1) = 2 * Delta.  The proved
+    # threshold covers bipartite graphs, so a find on the 8-cycle is wrong;
+    # on a triangle and a 5-cycle it would be an ABCHS-5.4/6.2
+    # counterexample, which the hunter must emit
+    monkeypatch.setattr(hunting, "_walk", lambda *args, **kwargs: (None, 1))
+    monkeypatch.setattr(
+        hunting,
+        "brute_force_full_rainbow",
+        lambda graph: (solver.SolveOutcome(None, 1, True), 0),
+    )
+    with pytest.raises(RuntimeError, match="blocked bipartite instance .* 2\\*Delta found: 8:"):
+        hunting._examine_unit((SearchSpec(8, 4), (8,), 2, frozenset()))
+    found, _, orbits, _ = hunting._examine_unit((SearchSpec(8, 4), (3, 5), 2, frozenset()))
+    assert orbits > 0 and len(found) == orbits
+    assert all(result.stats == DegreeStats(4, 2) for result in found)
+    assert not any(is_bipartite(result.instance) for result in found)
 
 
 def test_recheck_structure_returns_the_graphs_statistics():

@@ -10,6 +10,7 @@ from rainbowmatch import (
     double_star_family,
     find_full_rainbow_matching,
     is_full_rainbow,
+    lattice,
     max_rainbow_matching,
     solver,
     verify_matching,
@@ -88,12 +89,16 @@ WRONG_WITNESSES = {
 
 @pytest.mark.parametrize("witness", WRONG_WITNESSES.values(), ids=WRONG_WITNESSES)
 def test_a_wrong_engine_witness_is_caught(monkeypatch, four_cycle, witness):
-    # the engine answers in find mode: each set must be full rainbow
+    # the engine answers in find mode: each set must be full rainbow; the
+    # four-cycle has a lattice certificate, so max mode walks in find mode
+    # only once the certificate is taken away
     monkeypatch.setattr(solver, "_walk", lambda *args, **kwargs: (list(witness), 1))
     with pytest.raises(RuntimeError, match="invalid witness"):
         find_full_rainbow_matching(four_cycle)
-    with pytest.raises(RuntimeError, match="invalid witness"):
-        max_rainbow_matching(four_cycle)
+    with monkeypatch.context() as uncertified:
+        uncertified.setattr(lattice, "lattice_certificate", lambda graph: None)
+        with pytest.raises(RuntimeError, match="invalid witness"):
+            max_rainbow_matching(four_cycle)
     # find mode finds nothing and the branch and bound answers: a set of
     # fewer edges than colours passes when it is a rainbow matching
     monkeypatch.setattr(
@@ -342,15 +347,16 @@ def test_max_mode_agrees_with_the_uncapped_engine_on_drawn_graphs():
     check()
 
 
-# nodes of every engine call max mode makes: the find pass, then the capped
-# branch and bound; one uncapped branch and bound enters 29,711 at order 10,
-# seed 0
+# nodes of every engine call max mode makes: a lattice certificate proves
+# each square has no transversal, so only the capped branch and bound runs
+# (a find walk would enter 873, 11,271, 11,821, 11,346 and
+# 146,805); one uncapped branch and bound enters 29,711 at order 10, seed 0
 MAX_MODE_NODES = {
-    (8, 0): [873, 9],
-    (10, 0): [11_271, 20],
-    (10, 1): [11_821, 11],
-    (10, 2): [11_346, 10],
-    (12, 0): [146_805, 57],
+    (8, 0): [9],
+    (10, 0): [20],
+    (10, 1): [11],
+    (10, 2): [10],
+    (12, 0): [57],
 }
 
 
@@ -399,9 +405,10 @@ def test_max_mode_builds_its_tables_once(monkeypatch, engine_nodes):
     monkeypatch.setattr(solver, "_tables", counted)
     assert max_rainbow_matching(latin_square(6, 1))[0] == 5
     assert max_rainbow_matching(latin_square(5, 1))[0] == 5
-    # one set-up per call, walked twice without a full set and once with one
+    # one set-up per call, walked once: capped after a certificate at order
+    # 6, in find mode at order 5, which has a transversal
     assert calls == [6, 5]
-    assert len(engine_nodes) == 3
+    assert len(engine_nodes) == 2
 
 
 @pytest.mark.parametrize("colour_count", [1, 3, 8, 13])
